@@ -21,7 +21,6 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/comm_world.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/mailbox.hpp"
 #include "core/packet.hpp"
 #include "graph/rmat.hpp"
@@ -238,18 +237,15 @@ rate_row p2p_flood(transport::backend_kind backend, int nranks, int msgs,
 }
 
 // NLNR mailbox all-to-all: the full stack (routing, packet framing,
-// termination detection) over the backend. The mailbox type decides the
-// node-local strategy — core::mailbox always coalesces, hybrid_mailbox
-// grades on the endpoint's locality capability (zero-copy handoff on
-// inproc, per-record direct messages on shm, coalesced fallback on
-// socket).
-template <class MailboxT, class Msg>
+// termination detection) over the backend, every hop coalesced into
+// packets at 4 KiB capacity.
+template <class Msg>
 rate_row mailbox_all_to_all(transport::backend_kind backend,
                             routing::topology topo, int msgs) {
   return collect_rate(backend, topo.num_ranks(), [&](mpisim::comm& c) {
     core::comm_world world(c, topo, routing::scheme_kind::nlnr);
     std::uint64_t local_recv = 0;
-    MailboxT mb(
+    core::mailbox<Msg> mb(
         world, [&](const Msg&) { ++local_recv; }, 4096);
     const Msg m{};
     c.barrier();
@@ -290,15 +286,13 @@ void substrate_message_rates() {
       "shared-memory SPSC rings); the socket/shm spread prices the kernel "
       "socket path against a user-space ring crossing the same process "
       "boundary. Acceptance gate: shm must hold >= 1.5x the socket msgs/s "
-      "on mailbox_local (hybrid mailbox, 1 KiB records, all traffic "
-      "node-local).");
+      "on mailbox_local (1 KiB records, all traffic node-local).");
   constexpr int p2p_msgs = 1500;       // per (rank, peer) pair
   constexpr std::size_t p2p_bytes = 64;
   constexpr int mbx_msgs = 20000;      // per (rank, peer) pair
   constexpr int local_msgs = 4000;     // per (rank, peer) pair, 1 KiB each
-  // 1 KiB records for the node-local row: the hybrid's locality grading
-  // targets payload-carrying records (per-record handoff saves copies, not
-  // tiny-record framing), so the gate row measures exactly that regime.
+  // 1 KiB records for the node-local row: payload bytes, not per-record
+  // framing, dominate, so the gate row prices the transport's copies.
   using local_record = std::array<std::uint64_t, 128>;
   bench::table t(
       {"backend", "workload", "delivered", "wall (s)", "msgs/s", "MB/s"});
@@ -308,16 +302,14 @@ void substrate_message_rates() {
     const std::string name(transport::to_string(backend));
     report_rate(t, name, "p2p", p2p_flood(backend, 4, p2p_msgs, p2p_bytes));
     report_rate(t, name, "mailbox",
-                mailbox_all_to_all<core::mailbox<std::uint64_t>,
-                                   std::uint64_t>(
+                mailbox_all_to_all<std::uint64_t>(
                     backend, routing::topology(2, 2), mbx_msgs));
     // Node-local shape (one node, four cores): every hop stays inside the
-    // node, so the hybrid's locality grading is the whole story — this is
+    // node, so the backend's same-node path is the whole story — this is
     // the row the shm-over-socket acceptance gate in BENCH_transport.json
     // reads.
     report_rate(t, name, "mailbox_local",
-                mailbox_all_to_all<core::hybrid_mailbox<local_record>,
-                                   local_record>(
+                mailbox_all_to_all<local_record>(
                     backend, routing::topology(1, 4), local_msgs));
   }
   t.print();

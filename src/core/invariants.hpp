@@ -38,6 +38,7 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/comm_world.hpp"
+#include "core/mailbox.hpp"
 #include "core/progress.hpp"
 #include "core/stats.hpp"
 #include "mpisim/chaos.hpp"
@@ -299,17 +300,16 @@ struct trial_config {
 };
 
 /// Run one rank's share of a chaos trial on an already-running communicator
-/// (call from inside mpisim::run, every rank). MailboxT is core::mailbox or
-/// core::hybrid_mailbox. Returns this rank's invariant violations.
+/// (call from inside mpisim::run, every rank). Returns this rank's invariant
+/// violations.
 ///
 /// Per epoch: random p2p traffic + broadcasts with interleaved polls, then
 /// quiescence — ranks alternate between wait_empty() and a test_empty()
 /// polling loop (the two share one detector protocol, so mixing them across
 /// ranks must work) — then a sealed silence window in which any delivery is
 /// a violation.
-template <template <class> class MailboxT>
-std::vector<std::string> run_chaos_trial(mpisim::comm& c,
-                                         const trial_config& t) {
+inline std::vector<std::string> run_chaos_trial(mpisim::comm& c,
+                                                const trial_config& t) {
   const routing::topology topo(t.nodes, t.cores);
   comm_world world(c, topo, t.scheme);
   if (t.timed) {
@@ -319,7 +319,7 @@ std::vector<std::string> run_chaos_trial(mpisim::comm& c,
   if (t.credit_bytes != 0) world.set_credit_bytes(t.credit_bytes);
 
   delivery_ledger ledger(c.rank(), c.size());
-  MailboxT<probe_msg> mb(
+  mailbox<probe_msg> mb(
       world, [&](const probe_msg& m) { ledger.note_delivery(m); }, t.capacity);
 
   ygm::xoshiro256 rng(ygm::splitmix64(t.seed) ^

@@ -8,9 +8,9 @@
 // polling mode's zero-synchronization hot path:
 //
 //   engine   — one progress thread per OS process hosting rank bodies: one
-//              per shared_address_space() group on the inproc backend (the
-//              whole world lives in one process), one per forked rank
-//              process on the socket backend. Started per run by
+//              for the whole world on the inproc backend (every rank lives
+//              in one process), one per forked rank process on the socket
+//              and shm backends. Started per run by
 //              ygm::launch through mpisim::run_options::process_services.
 //   station  — one per (comm_world, rank): the engine-visible face of a
 //              rank. Owns the rank's registered pumps and the

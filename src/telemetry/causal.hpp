@@ -7,12 +7,12 @@
 // point-to-point messages carries a compact 24-byte trace context on the
 // packet wire format (core/packet.hpp's trace-annotation escape record),
 // and every stage of a sampled message's life — enqueue into a coalescing
-// buffer, the coalesced flush that put it on the wire, the zero-copy hybrid
-// handoff, each intermediary forward at a NL/NR/NLNR relay, and the final
-// delivery callback — appends a hop event to the recording rank's existing
-// telemetry event ring. An offline pass (telemetry/journey.hpp, the
-// tools/ygm_trace CLI) stitches hop events back into complete journeys and
-// decomposes per-message latency by hop kind and routing stage.
+// buffer, the coalesced flush that put it on the wire, each intermediary
+// forward at a NL/NR/NLNR relay, and the final delivery callback — appends
+// a hop event to the recording rank's existing telemetry event ring. An
+// offline pass (telemetry/journey.hpp, the tools/ygm_trace CLI) stitches
+// hop events back into complete journeys and decomposes per-message
+// latency by hop kind and routing stage.
 //
 // Costs, by construction:
 //   * sampling off (rate 0, the default) — one predicted branch per send
@@ -29,7 +29,6 @@
 //
 //   origin:  enqueue(hop=0)  flush(hop=0, dur=buffer residency)
 //   relay:   forward(hop=k)  enqueue(hop=k)  flush(hop=k, dur=residency)
-//   hybrid local leg: handoff(hop=k, dur=inbox residency) on the receiver
 //   dest:    deliver(hop=L)  — exactly one per journey, L = leg count
 //
 // where hop counts completed network legs (incremented on receipt), so the
@@ -128,7 +127,6 @@ inline bool try_begin(int origin, std::uint32_t seq, std::uint32_t salt,
 enum class hop_kind : std::uint8_t {
   enqueue,  ///< message entered a coalescing buffer (origin or relay)
   flush,    ///< the coalesced flush that shipped it; dur = buffer residency
-  handoff,  ///< hybrid zero-copy local leg; dur = shared-inbox residency
   forward,  ///< relay re-queue decision at an intermediary
   deliver,  ///< final receive-callback invocation (exactly one per journey)
   credit_stall,  ///< send blocked on exhausted credit ("credit.stall");

@@ -13,7 +13,7 @@
 //                 display artifact, never UB.
 //   sketch      — one online log2 latency histogram per (routing scheme,
 //                 latency kind), fed from the causal-trace hop sites in the
-//                 mailboxes, so live p50/p99/p999 exists without ygm_trace.
+//                 mailbox, so live p50/p99/p999 exists without ygm_trace.
 //   lane_registry — the process-global set of currently *bound* lanes
 //                 (rank_scope ctor/dtor notify it). The sampler and statusz
 //                 only ever walk bound lanes under the registry lock, which
@@ -125,9 +125,8 @@ struct gauge_slot {
 // -------------------------------------------------------- latency sketches
 
 enum class latency_kind : unsigned {
-  e2e,      ///< origin send() to final deliver (journey end-to-end)
-  flush,    ///< coalescing-buffer residency (enqueue to wire flush)
-  handoff,  ///< shared-memory inbox residency (push to drain)
+  e2e,    ///< origin send() to final deliver (journey end-to-end)
+  flush,  ///< coalescing-buffer residency (enqueue to wire flush)
   count_  // sentinel
 };
 

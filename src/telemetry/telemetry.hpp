@@ -68,7 +68,7 @@ enum class fast_counter : unsigned {
 
 enum class fast_histogram : unsigned {
   remote_packet_bytes,  ///< coalesced wire packet sizes (cross-node)
-  local_packet_bytes,   ///< coalesced/handoff packet sizes (same-node)
+  local_packet_bytes,   ///< coalesced packet sizes (same-node)
   exchange_us,          ///< duration of capacity-triggered exchanges
   count_  // sentinel
 };

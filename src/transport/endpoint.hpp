@@ -56,19 +56,6 @@ std::string_view to_string(backend_kind k) noexcept;
 /// else.
 std::optional<backend_kind> backend_from_name(std::string_view name) noexcept;
 
-/// What a backend lets node-local ranks share, ordered weakest to
-/// strongest. The hybrid mailbox keys its local fast paths off this:
-/// `shared_address_space` enables the raw-pointer zero-copy inbox handoff,
-/// `node_local_map` enables the per-record direct handoff over shared
-/// mappings (bytes cross once through a mapped ring, skipping the packet
-/// coalescing/framing layer), `none` forces the serializing packet path for
-/// every hop.
-enum class locality_level {
-  none,                  ///< ranks share nothing mappable (socket)
-  node_local_map,        ///< ranks exchange bytes via shared mappings (shm)
-  shared_address_space,  ///< raw pointers valid across ranks (inproc)
-};
-
 /// The backend named by YGM_TRANSPORT, defaulting to inproc when the
 /// variable is unset or empty. Throws ygm::error on an unknown name (a typo
 /// silently falling back to inproc would fake multi-process coverage).
@@ -114,21 +101,6 @@ class endpoint {
   virtual backend_kind kind() const noexcept = 0;
   virtual int world_rank() const noexcept = 0;
   virtual int world_size() const noexcept = 0;
-
-  /// What node-local ranks share on this backend (see locality_level).
-  /// Defaults to none — the safe answer for any backend with OS-process or
-  /// remote ranks; inproc answers shared_address_space, shm answers
-  /// node_local_map.
-  virtual locality_level locality() const noexcept {
-    return locality_level::none;
-  }
-
-  /// True when every rank of the world lives in this process, so raw
-  /// pointers can be exchanged between ranks and dereferenced (the hybrid
-  /// mailbox's zero-copy node-local inbox handoff relies on this).
-  bool shared_address_space() const noexcept {
-    return locality() == locality_level::shared_address_space;
-  }
 
   /// The send channel toward `dest` (world rank; dest == world_rank() is
   /// valid and loops back into this rank's own slot).

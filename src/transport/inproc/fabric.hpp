@@ -70,9 +70,6 @@ class endpoint final : public transport::endpoint {
   backend_kind kind() const noexcept override { return backend_kind::inproc; }
   int world_rank() const noexcept override { return rank_; }
   int world_size() const noexcept override { return fabric_->size(); }
-  locality_level locality() const noexcept override {
-    return locality_level::shared_address_space;
-  }
 
   transport::channel& peer(int dest) override;
 

@@ -4,7 +4,6 @@
 // is never linked — building it IS the test: the live-telemetry layer and
 // the mailbox hot paths that feed it must compile away cleanly when the
 // telemetry subsystem is off.
-#include "core/hybrid_mailbox.hpp"
 #include "core/mailbox.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/sampler.hpp"
@@ -24,7 +23,6 @@ struct off_probe_msg {
   }
 };
 template class ygm::core::mailbox<off_probe_msg>;
-template class ygm::core::hybrid_mailbox<off_probe_msg>;
 
 // Exercise the inline feed helpers in a reachable (but never called)
 // function so they cannot rot behind the macro.

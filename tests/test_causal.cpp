@@ -1,8 +1,7 @@
 // Tests for the causal-tracing layer (telemetry/causal.hpp): sampling
 // determinism, wire-format neutrality at rate 0, journey completeness
-// across every routing scheme and both mailbox implementations (including
-// under chaos), the stall watchdog's flight-recorder postmortem, and the
-// bench flag validation.
+// across every routing scheme (including under chaos), the stall
+// watchdog's flight-recorder postmortem, and the bench flag validation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,7 +15,6 @@
 
 #include "../bench/bench_util.hpp"
 #include "common/mini_json.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/mailbox.hpp"
 #include "core/ygm.hpp"
@@ -32,7 +30,6 @@ namespace causal = ygm::telemetry::causal;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::routing::router;
 using ygm::routing::scheme_kind;
@@ -211,7 +208,6 @@ TEST(CausalSampling, InplaceEncodingMatchesReferenceIncludingEscape) {
 
 // ----------------------------------------------- journey completeness
 
-template <template <class> class MailboxT>
 void run_journey_trial(scheme_kind scheme) {
   causal_config_guard guard;
   tel::session session;
@@ -223,8 +219,8 @@ void run_journey_trial(scheme_kind scheme) {
   sim::run(topo.num_ranks(), [&](sim::comm& c) {
     comm_world world(c, topo, scheme);
     int recv = 0;
-    MailboxT<std::uint32_t> mb(world, [&](const std::uint32_t&) { ++recv; },
-                               512);
+    mailbox<std::uint32_t> mb(world, [&](const std::uint32_t&) { ++recv; },
+                              512);
     for (int i = 0; i < msgs; ++i) {
       for (int d = 0; d < c.size(); ++d) {
         if (d != c.rank()) mb.send(d, static_cast<std::uint32_t>(i));
@@ -257,14 +253,7 @@ void run_journey_trial(scheme_kind scheme) {
 TEST(CausalJourneys, CompleteAcrossAllSchemesMailbox) {
   for (const auto scheme : ygm::routing::all_schemes) {
     SCOPED_TRACE(std::string(ygm::routing::to_string(scheme)));
-    run_journey_trial<mailbox>(scheme);
-  }
-}
-
-TEST(CausalJourneys, CompleteAcrossAllSchemesHybrid) {
-  for (const auto scheme : ygm::routing::all_schemes) {
-    SCOPED_TRACE(std::string(ygm::routing::to_string(scheme)));
-    run_journey_trial<hybrid_mailbox>(scheme);
+    run_journey_trial(scheme);
   }
 }
 
@@ -292,11 +281,8 @@ TEST(CausalJourneys, SurviveChaosAcrossSeedsAndSampleRates) {
     t.chaos = sim::chaos_config::light(seed);
 
     std::vector<std::string> violations;
-    const bool hybrid = (seed % 2) == 1;
     sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
-      const auto local =
-          hybrid ? ygm::core::run_chaos_trial<hybrid_mailbox>(c, t)
-                 : ygm::core::run_chaos_trial<mailbox>(c, t);
+      const auto local = ygm::core::run_chaos_trial(c, t);
       const auto gathered = c.gather(local, 0);
       if (c.rank() == 0) {
         for (const auto& per_rank : gathered) {
@@ -345,7 +331,9 @@ TEST(CausalWatchdog, StallDumpsParseablePostmortem) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
     }
     mb.wait_empty();
-    if (c.rank() == 1) EXPECT_EQ(recv, 1);
+    if (c.rank() == 1) {
+      EXPECT_EQ(recv, 1);
+    }
   });
   tel::set_global(nullptr);
 

@@ -1,9 +1,11 @@
 // Integration and property tests for the YGM mailbox (core/) running over
-// every routing scheme on a range of machine shapes.
+// every routing scheme on a range of machine shapes, polling and with the
+// progress engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -166,6 +168,143 @@ TEST_P(MailboxMachines, CallbackSpawnedCascadesTerminate) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, MailboxMachines,
                          ::testing::ValuesIn(machine_cases()), case_name);
+
+// ------------------------------------------- MPI+threads (paper §VII)
+//
+// The hybrid MPI+threads setting served by the one mailbox: ranks are
+// threads of one process (node-local flushes hand whole buffers over by
+// pointer move), and the progress engine adds a second thread per process
+// that drives the transport and the termination rounds while ranks block
+// in wait_empty(). MailboxMachines runs its shapes polling-only.
+
+std::vector<machine_case> hybrid_machine_cases() {
+  std::vector<machine_case> cases;
+  for (auto kind : ygm::routing::all_schemes) {
+    for (auto [n, c] : {std::pair{1, 4}, {2, 2}, {2, 4}, {4, 2}, {3, 3}}) {
+      cases.push_back({kind, n, c, 1024});
+    }
+    cases.push_back({kind, 2, 4, 1});
+  }
+  return cases;
+}
+
+void launch_with_engine(const topology& topo,
+                        const std::function<void(sim::comm&)>& fn) {
+  ygm::run_options o;
+  o.nranks = topo.num_ranks();
+  o.backend = ygm::transport::backend_kind::inproc;
+  o.progress_mode = ygm::progress::mode::engine;
+  ygm::launch(o, [&](sim::comm& c) {
+    ASSERT_NE(ygm::progress::current(), nullptr);
+    fn(c);
+  });
+}
+
+class HybridMachines : public ::testing::TestWithParam<machine_case> {};
+
+TEST_P(HybridMachines, RandomTrafficDeliversExactlyOnce) {
+  const auto& mc = GetParam();
+  const topology topo(mc.nodes, mc.cores);
+  launch_with_engine(topo, [&](sim::comm& c) {
+    comm_world world(c, topo, mc.kind);
+    std::uint64_t recv_count = 0;
+    std::uint64_t recv_sum = 0;
+    mailbox<std::uint64_t> mb(
+        world,
+        [&](const std::uint64_t& v) {
+          ++recv_count;
+          recv_sum += v;
+        },
+        mc.capacity);
+
+    ygm::xoshiro256 rng(7 + static_cast<std::uint64_t>(c.rank()));
+    const int sends = 150 + static_cast<int>(rng.below(150));
+    std::vector<std::uint64_t> count_to(static_cast<std::size_t>(c.size()), 0);
+    std::vector<std::uint64_t> sum_to(static_cast<std::size_t>(c.size()), 0);
+    for (int i = 0; i < sends; ++i) {
+      const int dest =
+          static_cast<int>(rng.below(static_cast<std::uint64_t>(c.size())));
+      const std::uint64_t value = rng() >> 20;
+      mb.send(dest, value);
+      ++count_to[static_cast<std::size_t>(dest)];
+      sum_to[static_cast<std::size_t>(dest)] += value;
+    }
+    mb.wait_empty();
+
+    const auto expect_count = c.allreduce_vec(count_to, sim::op_sum{});
+    const auto expect_sum = c.allreduce_vec(sum_to, sim::op_sum{});
+    EXPECT_EQ(recv_count, expect_count[static_cast<std::size_t>(c.rank())]);
+    EXPECT_EQ(recv_sum, expect_sum[static_cast<std::size_t>(c.rank())]);
+  });
+}
+
+TEST_P(HybridMachines, BroadcastReachesEveryOtherRankOnce) {
+  const auto& mc = GetParam();
+  const topology topo(mc.nodes, mc.cores);
+  launch_with_engine(topo, [&](sim::comm& c) {
+    comm_world world(c, topo, mc.kind);
+    std::vector<int> copies_from(static_cast<std::size_t>(c.size()), 0);
+    mailbox<std::uint32_t> mb(
+        world,
+        [&](const std::uint32_t& origin) {
+          ++copies_from[static_cast<std::size_t>(origin)];
+        },
+        mc.capacity);
+    constexpr int kBcasts = 4;
+    for (int i = 0; i < kBcasts; ++i) {
+      mb.send_bcast(static_cast<std::uint32_t>(c.rank()));
+    }
+    mb.wait_empty();
+    for (int origin = 0; origin < c.size(); ++origin) {
+      EXPECT_EQ(copies_from[static_cast<std::size_t>(origin)],
+                origin == c.rank() ? 0 : kBcasts)
+          << "origin=" << origin << " at rank " << c.rank();
+    }
+  });
+}
+
+TEST_P(HybridMachines, CallbackCascadesTerminate) {
+  const auto& mc = GetParam();
+  const topology topo(mc.nodes, mc.cores);
+  struct hop_msg {
+    std::uint32_t ttl = 0;
+    std::uint64_t seed = 0;
+  };
+  launch_with_engine(topo, [&](sim::comm& c) {
+    comm_world world(c, topo, mc.kind);
+    std::uint64_t deliveries = 0;
+    mailbox<hop_msg>* mbp = nullptr;
+    mailbox<hop_msg> mb(
+        world,
+        [&](const hop_msg& m) {
+          ++deliveries;
+          if (m.ttl > 0) {
+            const auto next = ygm::splitmix64(m.seed);
+            mbp->send(static_cast<int>(
+                          next % static_cast<std::uint64_t>(c.size())),
+                      hop_msg{m.ttl - 1, next});
+          }
+        },
+        mc.capacity);
+    mbp = &mb;
+    constexpr std::uint32_t kTtl = 5;
+    constexpr int kSeeds = 12;
+    for (int i = 0; i < kSeeds; ++i) {
+      const auto seed = ygm::splitmix64(
+          static_cast<std::uint64_t>(c.rank()) * 77 + static_cast<std::uint64_t>(i));
+      mb.send(static_cast<int>(seed % static_cast<std::uint64_t>(c.size())),
+              hop_msg{kTtl, seed});
+    }
+    mb.wait_empty();
+    const auto total = c.allreduce(deliveries, sim::op_sum{});
+    EXPECT_EQ(total,
+              static_cast<std::uint64_t>(c.size()) * kSeeds * (kTtl + 1));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, HybridMachines,
+                         ::testing::ValuesIn(hybrid_machine_cases()),
+                         case_name);
 
 // ------------------------------------------------------- focused behaviour
 

@@ -5,7 +5,7 @@
 // engine steal/pause/resume semantics, exception propagation from
 // engine-executed callbacks, teardown with traffic still in flight, the
 // reentrancy/engine-race exchange claim, and a ledger-verified chaos sweep
-// across {mailbox, hybrid} x {inproc, socket} x {engine, polling}.
+// across {inproc, socket} x {engine, polling}.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/ygm.hpp"
 #include "routing/router.hpp"
@@ -30,7 +29,6 @@ namespace {
 
 namespace sim = ygm::mpisim;
 using ygm::core::comm_world;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::core::run_chaos_trial;
 using ygm::core::trial_config;
@@ -383,12 +381,11 @@ TEST(ProgressEngine, TeardownWithTrafficInFlight) {
   });
 }
 
-// Revert guard: defer_delivery used to record a hop_kind::handoff event
-// for the MPSC-ring push, and journey::legs() counts handoff as a network
-// leg (it marks the hybrid mailbox's shared-memory transfer). Every
-// engine-delivered sampled journey then reported one more leg than the
-// route has hops and `ygm_trace --selfcheck` failed. The ring handoff is
-// rank-internal — legs must match the wire path exactly, engine or not.
+// Revert guard: defer_delivery used to record a network-leg hop event for
+// the MPSC-ring push. Every engine-delivered sampled journey then reported
+// one more leg than the route has hops and `ygm_trace --selfcheck` failed.
+// The ring handoff is rank-internal — legs must match the wire path
+// exactly, engine or not.
 TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
   namespace tel = ygm::telemetry;
   namespace causal = ygm::telemetry::causal;
@@ -490,32 +487,34 @@ TEST(ExchangeClaim, ThrowingCallbackDoesNotWedgeTheMailbox) {
 //
 // The acceptance sweep: seeded chaos traffic, every delivery invariant
 // (exactly-once, no phantoms, conservation, sealed silence, counter
-// cross-checks) verified by the ledger, across mailbox kind x backend x
-// progress mode. Engine trials wrap injection in a progress::guard so the
-// engine genuinely competes with the rank for the same packets.
+// cross-checks) verified by the ledger, across backend x progress mode.
+// Engine trials wrap injection in a progress::guard so the engine
+// genuinely competes with the rank for the same packets.
 
 struct progress_cell {
-  bool hybrid = false;
   ygm::transport::backend_kind backend = ygm::transport::backend_kind::inproc;
   bool engine = false;
+  /// Socket trials fork whole processes per rank; a smaller seed block
+  /// keeps the shard's wall time proportionate without losing the matrix.
+  std::uint32_t seeds = 16;
 };
 
+// Cell names keep their "mailbox_" prefix so the test IDs stay stable.
 std::string progress_cell_name(
     const ::testing::TestParamInfo<progress_cell>& info) {
   const auto& p = info.param;
-  return std::string(p.hybrid ? "hybrid" : "mailbox") + "_" +
-         std::string(ygm::transport::to_string(p.backend)) + "_" +
-         (p.engine ? "engine" : "polling");
+  return "mailbox_" + std::string(ygm::transport::to_string(p.backend)) +
+         "_" + (p.engine ? "engine" : "polling");
 }
 
 std::vector<progress_cell> progress_cells() {
   std::vector<progress_cell> cells;
-  for (bool hybrid : {false, true}) {
-    for (auto backend : {ygm::transport::backend_kind::inproc,
-                         ygm::transport::backend_kind::socket}) {
-      for (bool engine : {false, true}) {
-        cells.push_back({hybrid, backend, engine});
-      }
+  for (auto backend : {ygm::transport::backend_kind::inproc,
+                       ygm::transport::backend_kind::socket}) {
+    const std::uint32_t seeds =
+        backend == ygm::transport::backend_kind::socket ? 4 : 16;
+    for (bool engine : {false, true}) {
+      cells.push_back({backend, engine, seeds});
     }
   }
   return cells;
@@ -548,11 +547,7 @@ class ProgressChaosSweep : public ::testing::TestWithParam<progress_cell> {};
 
 TEST_P(ProgressChaosSweep, LedgerVerifiedExactlyOnce) {
   const auto cell = GetParam();
-  // Socket trials fork whole processes per rank; a smaller seed block
-  // keeps the shard's wall time proportionate without losing the matrix.
-  const std::uint64_t seeds =
-      cell.backend == ygm::transport::backend_kind::socket ? 4 : 16;
-  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+  for (std::uint64_t seed = 0; seed < cell.seeds; ++seed) {
     const trial_config t = make_progress_trial(seed, cell.engine);
     ygm::run_options o;
     o.nranks = t.num_ranks();
@@ -562,9 +557,7 @@ TEST_P(ProgressChaosSweep, LedgerVerifiedExactlyOnce) {
                                   : ygm::progress::mode::polling;
     std::vector<std::string> all;
     const auto blobs = ygm::launch_collect(o, [&](sim::comm& c) {
-      const auto local = cell.hybrid
-                             ? run_chaos_trial<hybrid_mailbox>(c, t)
-                             : run_chaos_trial<mailbox>(c, t);
+      const auto local = run_chaos_trial(c, t);
       std::vector<std::byte> out;
       ygm::ser::append_bytes(local, out);
       return out;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/mailbox.hpp"
 #include "mpisim/runtime.hpp"
@@ -304,7 +303,6 @@ ygm::core::trial_config reduced_trial(std::uint64_t seed) {
   return t;
 }
 
-template <template <class> class MailboxT>
 std::vector<std::string> sweep_on(tp::backend_kind backend,
                                   const ygm::core::trial_config& t) {
   sim::run_options opts;
@@ -312,7 +310,7 @@ std::vector<std::string> sweep_on(tp::backend_kind backend,
   opts.backend = backend;
   opts.chaos = t.chaos;
   const auto blobs = sim::run_collect(opts, [&t](sim::comm& c) {
-    const auto local = ygm::core::run_chaos_trial<MailboxT>(c, t);
+    const auto local = ygm::core::run_chaos_trial(c, t);
     auto out = std::vector<std::byte>{};
     ygm::ser::append_bytes(local, out);
     return out;
@@ -330,41 +328,36 @@ class LedgerSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LedgerSweep, InprocHoldsInvariants) {
   const auto t = reduced_trial(GetParam());
-  const auto v = sweep_on<ygm::core::mailbox>(tp::backend_kind::inproc, t);
+  const auto v = sweep_on(tp::backend_kind::inproc, t);
   EXPECT_TRUE(v.empty()) << t.describe() << "\nfirst violation: " << v.front();
 }
 
 TEST_P(LedgerSweep, SocketHoldsInvariants) {
   const auto t = reduced_trial(GetParam());
-  const auto v = sweep_on<ygm::core::mailbox>(tp::backend_kind::socket, t);
+  const auto v = sweep_on(tp::backend_kind::socket, t);
   EXPECT_TRUE(v.empty()) << t.describe() << "\nfirst violation: " << v.front();
 }
 
 TEST_P(LedgerSweep, ShmHoldsInvariants) {
   const auto t = reduced_trial(GetParam());
-  const auto v = sweep_on<ygm::core::mailbox>(tp::backend_kind::shm, t);
+  const auto v = sweep_on(tp::backend_kind::shm, t);
   EXPECT_TRUE(v.empty()) << t.describe() << "\nfirst violation: " << v.front();
 }
 
-// The hybrid mailbox's zero-copy node-local handoff cannot exist across
-// processes; on the socket backend it must degrade to serializing every hop
-// while holding the same delivery invariants. NLNR exercises the node-local
-// pivots that the fallback reroutes through coalescing buffers.
-TEST_P(LedgerSweep, SocketHybridSerializingFallbackHoldsInvariants) {
+// NLNR relays through node-local pivots and remote gateways, so these are
+// the ledger cases where forwarded records cross process boundaries (the
+// reduced trial above pins NoRoute).
+TEST_P(LedgerSweep, SocketNlnrForwardingHoldsInvariants) {
   auto t = reduced_trial(GetParam());
   t.scheme = ygm::routing::scheme_kind::nlnr;
-  const auto v =
-      sweep_on<ygm::core::hybrid_mailbox>(tp::backend_kind::socket, t);
+  const auto v = sweep_on(tp::backend_kind::socket, t);
   EXPECT_TRUE(v.empty()) << t.describe() << "\nfirst violation: " << v.front();
 }
 
-// On shm the hybrid regains a node-local fast path (per-record direct
-// messages over the node_local_map capability); the same NLNR trials must
-// hold the same invariants through it.
-TEST_P(LedgerSweep, ShmHybridDirectPathHoldsInvariants) {
+TEST_P(LedgerSweep, ShmNlnrForwardingHoldsInvariants) {
   auto t = reduced_trial(GetParam());
   t.scheme = ygm::routing::scheme_kind::nlnr;
-  const auto v = sweep_on<ygm::core::hybrid_mailbox>(tp::backend_kind::shm, t);
+  const auto v = sweep_on(tp::backend_kind::shm, t);
   EXPECT_TRUE(v.empty()) << t.describe() << "\nfirst violation: " << v.front();
 }
 
@@ -514,35 +507,6 @@ TEST(Telemetry, ShmLaneShipsAcrossProcesses) {
   EXPECT_GT(m.counters().at("transport.shm.ring_tx_bytes"), 0u);
   EXPECT_GT(m.counters().at("transport.shm.ring_rx_bytes"), 0u);
   EXPECT_GT(m.counters().at("mpi.sends"), 0u);
-}
-
-// The hybrid mailbox must actually take the direct node-local path on shm
-// (capability node_local_map), not silently fall back to coalescing.
-TEST(Telemetry, ShmHybridUsesDirectLocalPath) {
-  tel::session session;
-  tel::set_global(&session);
-  sim::run(on_backend(tp::backend_kind::shm, 4), [](sim::comm& c) {
-    const ygm::routing::topology topo(2, 2);
-    ygm::core::comm_world world(c, topo,
-                                ygm::routing::scheme_kind::node_local);
-    int got = 0;
-    ygm::core::hybrid_mailbox<int> mb(world, [&](const int& v) { got += v; },
-                                      256);
-    // Node-local peer under topology(2,2): rank^1 shares this rank's node.
-    for (int i = 0; i < 16; ++i) mb.send(c.rank() ^ 1, 1);
-    mb.wait_empty();
-    EXPECT_EQ(got, 16);
-    c.barrier();
-  });
-  tel::set_global(nullptr);
-
-  const auto m = session.merged_metrics();
-  EXPECT_GE(m.counters().at("hybrid.local_direct"), 4u * 16u);
-  // Nothing coalesced: every hop in this workload was node-local.
-  EXPECT_EQ(m.counters().count("hybrid.shared_handoffs")
-                ? m.counters().at("hybrid.shared_handoffs")
-                : 0u,
-            0u);
 }
 
 }  // namespace

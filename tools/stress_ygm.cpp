@@ -1,15 +1,14 @@
 // stress_ygm: chaos-sweep driver for the YGM runtime (docs/CHAOS.md).
 //
 // Runs the delivery-invariant trial harness (core/invariants.hpp) over a
-// grid of seeds x routing schemes x mailbox implementations x timed mode x
-// chaos presets, with machine shape and capacity rotating per seed. Any
-// invariant violation prints the complete reproduction recipe and makes the
-// process exit nonzero — rerunning with the printed flags replays the exact
-// fault pattern.
+// grid of seeds x routing schemes x timed mode x chaos presets, with machine
+// shape and capacity rotating per seed. Any invariant violation prints the
+// complete reproduction recipe and makes the process exit nonzero —
+// rerunning with the printed flags replays the exact fault pattern.
 //
 //   stress_ygm --seeds 64                            # the default full sweep
-//   stress_ygm --seeds 1 --seed-base 19 --schemes nlnr --mailboxes hybrid
-//              --timed on --chaos heavy              # replay one recipe
+//   stress_ygm --seeds 1 --seed-base 19 --schemes nlnr --timed on
+//              --chaos heavy                         # replay one recipe
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -23,10 +22,8 @@
 
 #include <memory>
 
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/launch.hpp"
-#include "core/mailbox.hpp"
 #include "core/progress.hpp"
 #include "mpisim/runtime.hpp"
 #include "ser/serialize.hpp"
@@ -48,7 +45,6 @@ struct options {
   std::uint64_t seed_base = 0;
   std::vector<scheme_kind> schemes{std::begin(ygm::routing::all_schemes),
                                    std::end(ygm::routing::all_schemes)};
-  std::vector<bool> hybrids{false, true};
   std::vector<bool> timed_modes{false, true};
   std::vector<std::string> presets{"light", "heavy"};
   std::vector<std::pair<int, int>> topos{{2, 2}, {1, 4}, {4, 2}, {2, 3}};
@@ -91,7 +87,6 @@ struct options {
       "  --seed-base B        first seed (default 0)\n"
       "  --schemes a,b,..     NoRoute|NodeLocal|NodeRemote|NLNR,\n"
       "                       case-insensitive (default all four)\n"
-      "  --mailboxes M        mailbox|hybrid|both (default both)\n"
       "  --timed M            on|off|both (default both)\n"
       "  --chaos M            light|heavy|both (default both)\n"
       "  --backend B          transport backend: inproc|socket|shm (default:\n"
@@ -180,12 +175,6 @@ options parse(int argc, char** argv) {
     else if (a == "--schemes") {
       o.schemes.clear();
       for (const auto& s : split_list(need(i++))) o.schemes.push_back(parse_scheme(s));
-    } else if (a == "--mailboxes") {
-      const auto v = need(i++);
-      if (v == "mailbox") o.hybrids = {false};
-      else if (v == "hybrid") o.hybrids = {true};
-      else if (v == "both") o.hybrids = {false, true};
-      else usage(2);
     } else if (a == "--backend" || a.rfind("--backend=", 0) == 0) {
       const auto v = a == "--backend" ? need(i++) : a.substr(10);
       const auto k = tp::backend_from_name(v);
@@ -260,7 +249,6 @@ chaos_config make_chaos(const options& o, const std::string& preset,
   return cfg;
 }
 
-template <template <class> class MailboxT>
 std::vector<std::string> run_one(const trial_config& t,
                                  tp::backend_kind backend,
                                  ygm::progress::mode pmode, int sample_ms,
@@ -278,7 +266,7 @@ std::vector<std::string> run_one(const trial_config& t,
   opts.sample_ms = sample_ms;
   opts.statusz = statusz;
   const auto blobs = ygm::launch_collect(opts, [&](sim::comm& c) {
-    const auto local = run_chaos_trial<MailboxT>(c, t);
+    const auto local = run_chaos_trial(c, t);
     std::vector<std::byte> out;
     ygm::ser::append_bytes(local, out);
     return out;
@@ -320,13 +308,12 @@ int main(int argc, char** argv) {
   std::uint64_t trials = 0;
   std::uint64_t failures = 0;
   for (auto scheme : o.schemes) {
-    for (const bool hybrid : o.hybrids) {
-      for (const bool timed : o.timed_modes) {
-        for (const auto pmode : o.progress_modes) {
-          // The engine refuses to advance timed worlds (virtual time is
-          // rank-driven), so engine x timed would silently degenerate to
-          // polling; skip the cell rather than report a vacuous pass.
-          if (pmode == ygm::progress::mode::engine && timed) continue;
+    for (const bool timed : o.timed_modes) {
+      for (const auto pmode : o.progress_modes) {
+        // The engine refuses to advance timed worlds (virtual time is
+        // rank-driven), so engine x timed would silently degenerate to
+        // polling; skip the cell rather than report a vacuous pass.
+        if (pmode == ygm::progress::mode::engine && timed) continue;
         for (const auto& preset : o.presets) {
           for (std::uint64_t s = 0; s < o.seeds; ++s) {
             const std::uint64_t seed = o.seed_base + s;
@@ -351,11 +338,7 @@ int main(int argc, char** argv) {
             ++trials;
             std::vector<std::string> violations;
             try {
-              violations =
-                  hybrid ? run_one<ygm::core::hybrid_mailbox>(
-                               t, backend, pmode, o.sample_ms, o.statusz)
-                         : run_one<ygm::core::mailbox>(t, backend, pmode,
-                                                       o.sample_ms, o.statusz);
+              violations = run_one(t, backend, pmode, o.sample_ms, o.statusz);
             } catch (const std::exception& e) {
               violations.push_back(std::string("exception: ") + e.what());
             }
@@ -380,27 +363,23 @@ int main(int argc, char** argv) {
               }
               if (o.statusz == 1) flow_flags += " --statusz";
               std::fprintf(stderr,
-                           "FAIL backend=%s mailbox=%s chaos=%s progress=%s"
-                           " %s\n"
+                           "FAIL backend=%s chaos=%s progress=%s %s\n"
                            "     replay: stress_ygm --seeds 1 --seed-base %llu"
-                           " --schemes %s --mailboxes %s --timed %s --chaos"
-                           " %s --msgs %d --bcasts %d --epochs %d"
-                           " --backend %s --progress %s%s\n",
-                           backend_name.c_str(),
-                           hybrid ? "hybrid" : "mailbox", preset.c_str(),
+                           " --schemes %s --timed %s --chaos %s --msgs %d"
+                           " --bcasts %d --epochs %d --backend %s"
+                           " --progress %s%s\n",
+                           backend_name.c_str(), preset.c_str(),
                            pmode_name.c_str(), t.describe().c_str(),
                            static_cast<unsigned long long>(seed),
-                           scheme_name.c_str(),
-                           hybrid ? "hybrid" : "mailbox",
-                           timed ? "on" : "off", preset.c_str(), o.msgs,
-                           o.bcasts, o.epochs, backend_name.c_str(),
-                           pmode_name.c_str(), flow_flags.c_str());
+                           scheme_name.c_str(), timed ? "on" : "off",
+                           preset.c_str(), o.msgs, o.bcasts, o.epochs,
+                           backend_name.c_str(), pmode_name.c_str(),
+                           flow_flags.c_str());
               for (const auto& v : violations) {
                 std::fprintf(stderr, "     %s\n", v.c_str());
               }
             }
           }
-        }
         }
       }
     }

@@ -197,18 +197,15 @@ int main(int argc, char** argv) {
 
   std::size_t complete = 0, in_flight = 0;
   std::map<std::size_t, std::size_t> legs_histogram;
-  ygm::telemetry::histogram residency[6];  // indexed by hop_kind
-  std::size_t hop_counts[6] = {};
+  ygm::telemetry::histogram residency[5];  // indexed by hop_kind
+  std::size_t hop_counts[5] = {};
   for (const auto& [key, j] : journeys) {
     (j.complete() ? complete : in_flight) += 1;
     if (j.complete()) ++legs_histogram[j.legs()];
     for (const auto& h : j.hops) {
       const auto k = static_cast<unsigned>(h.kind);
       ++hop_counts[k];
-      if (h.kind == causal::hop_kind::flush ||
-          h.kind == causal::hop_kind::handoff) {
-        residency[k].record(h.dur_us);
-      }
+      if (h.kind == causal::hop_kind::flush) residency[k].record(h.dur_us);
     }
   }
 
@@ -218,8 +215,7 @@ int main(int argc, char** argv) {
               "p99 res us");
   for (const auto k :
        {causal::hop_kind::enqueue, causal::hop_kind::flush,
-        causal::hop_kind::handoff, causal::hop_kind::forward,
-        causal::hop_kind::deliver}) {
+        causal::hop_kind::forward, causal::hop_kind::deliver}) {
     const auto i = static_cast<unsigned>(k);
     if (hop_counts[i] == 0) continue;
     const bool has_res = residency[i].count() > 0;
