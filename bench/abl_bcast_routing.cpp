@@ -29,7 +29,7 @@ void executed_flood() {
   for (const auto kind : routing::all_schemes) {
     double wall = 0;
     core::mailbox_stats agg;
-    mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
       core::comm_world world(c, topo, kind);
       std::uint64_t sink = 0;
       core::mailbox<std::uint64_t> mb(

@@ -32,7 +32,7 @@ struct result {
 result run_mailbox(const routing::topology& topo, routing::scheme_kind kind,
                    int msgs, double stagger_s) {
   result out;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     core::comm_world world(c, topo, kind);
     std::uint64_t got = 0;
     core::mailbox<std::uint64_t> mb(
@@ -63,7 +63,7 @@ result run_mailbox(const routing::topology& topo, routing::scheme_kind kind,
 result run_collective(const routing::topology& topo,
                       routing::scheme_kind kind, int msgs, double stagger_s) {
   result out;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     core::comm_world world(c, topo, kind);
     core::collective_exchange<std::uint64_t> ex(world);
     xoshiro256 rng(3 + static_cast<std::uint64_t>(c.rank()));

@@ -67,7 +67,7 @@ struct result {
 
 result run_sync(const routing::topology& topo, const workload& w) {
   result out;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     xoshiro256 rng(23 + static_cast<std::uint64_t>(c.rank()));
     hot_drain drain{w.drain_per_msg_s};
     std::uint64_t sink = 0;
@@ -108,7 +108,7 @@ result run_sync(const routing::topology& topo, const workload& w) {
 result run_async(const routing::topology& topo, routing::scheme_kind kind,
                  const workload& w) {
   result out;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     core::comm_world world(c, topo, kind);
     hot_drain drain{w.drain_per_msg_s};
     std::uint64_t sink = 0;

@@ -50,7 +50,7 @@ struct workload {
 
 double run_sync(const routing::topology& topo, const workload& w) {
   double wall = 0;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     xoshiro256 rng(17 + static_cast<std::uint64_t>(c.rank()));
     std::uint64_t sink = 0;
     c.barrier();
@@ -80,7 +80,7 @@ double run_sync(const routing::topology& topo, const workload& w) {
 double run_async(const routing::topology& topo, routing::scheme_kind kind,
                  const workload& w) {
   double wall = 0;
-  mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
     core::comm_world world(c, topo, kind);
     std::uint64_t sink = 0;
     core::mailbox<std::uint64_t> mb(

@@ -77,7 +77,7 @@ void executed_sweep() {
                           std::size_t{262144}}) {
     double wall = 0;
     core::mailbox_stats agg;
-    mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
       core::comm_world world(c, topo, routing::scheme_kind::node_remote);
       const graph::erdos_renyi_generator gen(edges / 16, edges, 99, c.rank(),
                                              c.size());

@@ -260,7 +260,7 @@ class json_report {
 ///   --stall-timeout-ms=<ms>     stall-watchdog window (0 disables)
 ///   --bench-json=<file>         JSON report of every table + metric
 ///   YGM_TELEMETRY=1             environment fallback (implies summary)
-/// is present, a telemetry session is installed globally, every mpisim::run
+/// is present, a telemetry session is installed globally, every ygm::launch
 /// in the bench records per-rank lanes, and the destructor writes the
 /// requested outputs. With none present no session exists and the
 /// instrumentation costs one thread-local load + branch per hook. Unknown

@@ -13,27 +13,26 @@
 #include "bench_util.hpp"
 #include "common/units.hpp"
 #include "core/comm_world.hpp"
+#include "core/launch.hpp"
 #include "core/mailbox.hpp"
-#include "mpisim/runtime.hpp"
 #include "ser/serialize.hpp"
 
 namespace {
 
 using namespace ygm;
 
-// Rank-0 results must travel through run_collect's serialized channel:
-// with YGM_TRANSPORT=socket the rank bodies are forked processes, so
-// writing captured locals from inside the lambda would be lost.
+// Rank-0 results must travel through launch_collect's serialized
+// channel: with YGM_TRANSPORT=socket the rank bodies are forked processes,
+// so writing captured locals from inside the lambda would be lost.
 template <class T>
 T collect_rank0(int nranks, const std::function<T(mpisim::comm&)>& body) {
-  mpisim::run_options opts;
-  opts.nranks = nranks;
-  const auto blobs = mpisim::run_collect(opts, [&](mpisim::comm& c) {
-    const T v = body(c);
-    std::vector<std::byte> out;
-    if (c.rank() == 0) ser::append_bytes(v, out);
-    return out;
-  });
+  const auto blobs =
+      ygm::launch_collect({.nranks = nranks}, [&](mpisim::comm& c) {
+        const T v = body(c);
+        std::vector<std::byte> out;
+        if (c.rank() == 0) ser::append_bytes(v, out);
+        return out;
+      });
   return ser::from_bytes<T>({blobs[0].data(), blobs[0].size()});
 }
 

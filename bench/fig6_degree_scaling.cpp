@@ -92,7 +92,7 @@ void executed_scaling(bool weak, std::uint64_t edges_per_rank,
       double wall = 0;
       double simulated = 0;
       core::mailbox_stats agg;
-      mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+      ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
         core::comm_world world(c, topo, kind);
         world.attach_virtual_network(net::network_params::quartz_like());
         const graph::erdos_renyi_generator gen(verts, edges, 12345, c.rank(),

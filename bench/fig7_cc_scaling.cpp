@@ -133,7 +133,7 @@ void executed_scaling(bool weak, int scale_per_rank) {
       std::uint64_t ndelegates = 0;
       int passes = 0;
       core::mailbox_stats agg;
-      mpisim::run(topo.num_ranks(), [&](mpisim::comm& c) {
+      ygm::launch({.nranks = topo.num_ranks()}, [&](mpisim::comm& c) {
         core::comm_world world(c, topo, kind);
         const graph::rmat_generator gen(scale, edges, params, 31337, c.rank(),
                                         c.size());

@@ -184,7 +184,7 @@ void executed_weak(bool skewed, int base_scale) {
     double cb_wall = 0;
     std::uint64_t ndelegates = 0;
     core::mailbox_stats agg;
-    mpisim::run(ranks, [&](mpisim::comm& c) {
+    ygm::launch({.nranks = ranks}, [&](mpisim::comm& c) {
       core::comm_world world(c, cores, routing::scheme_kind::node_remote);
       const graph::round_robin_partition part{c.size()};
       const graph::rmat_generator gen(scale, nnz, params, 777, c.rank(),
@@ -254,7 +254,7 @@ void executed_web_strong(int scale) {
     const std::size_t capacity = 256u * static_cast<std::size_t>(ranks);
     double ygm_wall = 0;
     double cb_wall = 0;
-    mpisim::run(ranks, [&](mpisim::comm& c) {
+    ygm::launch({.nranks = ranks}, [&](mpisim::comm& c) {
       core::comm_world world(c, cores, routing::scheme_kind::node_remote);
       const graph::round_robin_partition part{c.size()};
       const graph::rmat_generator gen(scale, nnz, params, 555, c.rank(),

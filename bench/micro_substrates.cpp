@@ -21,11 +21,11 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/comm_world.hpp"
+#include "core/launch.hpp"
 #include "core/mailbox.hpp"
 #include "core/packet.hpp"
 #include "graph/rmat.hpp"
 #include "linalg/csc.hpp"
-#include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
 #include "ser/serialize.hpp"
 #include "transport/endpoint.hpp"
@@ -189,23 +189,21 @@ BENCHMARK(BM_CscMultiply);
 // the shared address space costs per message.
 
 // (delivered msgs world-wide, payload bytes delivered, wall seconds by the
-// slowest rank) — serialized through run_collect's result channel because
-// socket rank bodies are forked processes.
+// slowest rank) — serialized through launch_collect's result channel
+// because socket rank bodies are forked processes.
 using rate_row = std::tuple<std::uint64_t, std::uint64_t, double>;
 
 rate_row collect_rate(transport::backend_kind backend, int nranks,
                       const std::function<rate_row(mpisim::comm&)>& body) {
-  mpisim::run_options opts;
-  opts.nranks = nranks;
-  opts.backend = backend;
-  opts.chaos = mpisim::chaos_config{};  // pin faults off, ignore YGM_CHAOS
-  const auto blobs =
-      mpisim::run_collect(opts, [&](mpisim::comm& c) {
-        const rate_row r = body(c);
-        std::vector<std::byte> out;
-        if (c.rank() == 0) ser::append_bytes(r, out);
-        return out;
-      });
+  // Chaos pinned off so YGM_CHAOS cannot skew the rates.
+  const ygm::run_options opts{
+      .nranks = nranks, .backend = backend, .chaos = mpisim::chaos_config{}};
+  const auto blobs = ygm::launch_collect(opts, [&](mpisim::comm& c) {
+    const rate_row r = body(c);
+    std::vector<std::byte> out;
+    if (c.rank() == 0) ser::append_bytes(r, out);
+    return out;
+  });
   return ser::from_bytes<rate_row>({blobs[0].data(), blobs[0].size()});
 }
 

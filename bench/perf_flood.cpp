@@ -37,7 +37,6 @@
 #include "core/comm_world.hpp"
 #include "core/launch.hpp"
 #include "core/mailbox.hpp"
-#include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
 #include "ser/serialize.hpp"
 

@@ -21,8 +21,8 @@
 
 #include "bench_util.hpp"
 #include "core/comm_world.hpp"
+#include "core/launch.hpp"
 #include "core/mailbox.hpp"
-#include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -71,7 +71,7 @@ run_result run_world(int nranks, const Body& body) {
   auto& ses = *telemetry::global();
   const int w0 = ses.world_count();
   double wall = 0;
-  mpisim::run(nranks, [&](mpisim::comm& c) {
+  ygm::launch({.nranks = nranks}, [&](mpisim::comm& c) {
     const double dt = body(c);
     if (c.rank() == 0) wall = dt;
   });

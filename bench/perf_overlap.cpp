@@ -43,7 +43,6 @@
 #include "core/launch.hpp"
 #include "core/mailbox.hpp"
 #include "core/progress.hpp"
-#include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
 
 namespace {

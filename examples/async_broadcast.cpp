@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   const ygm::routing::topology topo(nodes, cores);
 
-  ygm::mpisim::run(topo.num_ranks(), [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, topo, scheme);
 
     top_k best(k);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const std::uint64_t num_vertices = std::uint64_t{1} << scale;
   const std::uint64_t num_edges = num_vertices * edge_factor;
 
-  ygm::mpisim::run(topo.num_ranks(), [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, topo, scheme);
     const ygm::graph::erdos_renyi_generator gen(num_vertices, num_edges, 42,
                                                 c.rank(), c.size());

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const std::uint64_t n = std::uint64_t{1} << scale;
   const std::uint64_t m = n * edge_factor;
 
-  ygm::mpisim::run(topo.num_ranks(), [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, topo, scheme);
     const ygm::graph::rmat_generator gen(
         scale, m, ygm::graph::rmat_params::graph500(), 2026, c.rank(),

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const std::string motif = "ACGTACGTTTAGGCCAGGTAC";
 
   const ygm::routing::topology topo(nodes, cores);
-  ygm::mpisim::run(topo.num_ranks(), [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, topo, scheme);
 
     const auto my_reads = ygm::apps::synthetic_reads(

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ygm::mpisim::run(ranks, [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = ranks}, [&](ygm::mpisim::comm& c) {
     // 1. Describe the machine: ranks laid out as (nodes x cores), with one
     //    routing scheme shared by every mailbox on this world.
     ygm::core::comm_world world(c, cores, scheme);

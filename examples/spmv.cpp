@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const std::uint64_t n = std::uint64_t{1} << scale;
   const std::uint64_t nnz = n * edge_factor;
 
-  ygm::mpisim::run(ranks, [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = ranks}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, cores, scheme);
     const ygm::graph::round_robin_partition part{c.size()};
 

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       argc, argv, ygm::routing::scheme_kind::node_remote);
 
   const ygm::routing::topology topo(nodes, cores);
-  ygm::mpisim::run(topo.num_ranks(), [&](ygm::mpisim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](ygm::mpisim::comm& c) {
     ygm::core::comm_world world(c, topo, scheme);
 
     ygm::container::counting_set<std::string> frequencies(world);

@@ -67,8 +67,8 @@ class buffer_pool {
   /// Releases per high-water window (two windows of history are kept).
   static constexpr std::uint32_t window_releases = 64;
 
-  /// This thread's pool (one per mpisim rank thread; storage dies with the
-  /// thread, so consecutive mpisim::run calls never share stale capacity).
+  /// This thread's pool (one per rank thread; storage dies with the
+  /// thread, so consecutive ygm::launch calls never share stale capacity).
   static buffer_pool& local() {
     static thread_local buffer_pool pool;
     return pool;

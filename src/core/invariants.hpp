@@ -1,11 +1,11 @@
 // Delivery-invariant checking for chaos trials (docs/CHAOS.md).
 //
-// The chaos layer (mpisim/chaos.hpp) makes the transport adversarial while
-// staying inside the MPI contract; this header supplies the other half of
-// the methodology: traffic whose correctness is *checkable*. Every message
-// carries (origin, kind, sequence number, content-derived filler), every
-// rank keeps a ledger of what it injected and what it delivered, and a
-// collective verify() pass at quiescence reconciles the two sides:
+// The chaos layer (transport/chaos.hpp) makes the transport adversarial
+// while staying inside the MPI contract; this header supplies the other
+// half of the methodology: traffic whose correctness is *checkable*. Every
+// message carries (origin, kind, sequence number, content-derived filler),
+// every rank keeps a ledger of what it injected and what it delivered, and
+// a collective verify() pass at quiescence reconciles the two sides:
 //
 //   * exactly-once point-to-point delivery — the seq sets each origin sent
 //     to me equal the seq sets I delivered, no duplicates, nothing extra;
@@ -41,8 +41,8 @@
 #include "core/mailbox.hpp"
 #include "core/progress.hpp"
 #include "core/stats.hpp"
-#include "mpisim/chaos.hpp"
 #include "mpisim/comm.hpp"
+#include "mpisim/types.hpp"
 #include "net/params.hpp"
 #include "routing/router.hpp"
 
@@ -300,7 +300,7 @@ struct trial_config {
 };
 
 /// Run one rank's share of a chaos trial on an already-running communicator
-/// (call from inside mpisim::run, every rank). Returns this rank's invariant
+/// (call from inside ygm::launch, every rank). Returns this rank's invariant
 /// violations.
 ///
 /// Per epoch: random p2p traffic + broadcasts with interleaved polls, then

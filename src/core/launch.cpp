@@ -1,19 +1,29 @@
 #include "core/launch.hpp"
 
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <numeric>
+#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/live.hpp"
+#include "telemetry/telemetry.hpp"
+#include "transport/inproc/fabric.hpp"
+#include "transport/proc/launch.hpp"
 
 namespace ygm {
 
 namespace {
 
+using rank_results = std::vector<std::vector<std::byte>>;
+using rank_fn = std::function<std::vector<std::byte>(mpisim::comm&)>;
+
 // Launch-scoped process globals. Set on the driver thread before rank
-// threads spawn (inproc) or children fork (socket) and restored after the
-// run — both backends therefore see a stable value for the whole run
+// threads spawn (inproc) or children fork (socket, shm) and restored after
+// the run — every backend therefore sees a stable value for the whole run
 // without synchronization.
 std::optional<net::network_params> g_launch_vnet;
 std::optional<std::size_t> g_launch_credit_bytes;
@@ -50,47 +60,131 @@ struct scoped_run_defaults {
   int prev_statusz_;
 };
 
-mpisim::run_options to_mpisim_options(const run_options& opts) {
-  mpisim::run_options mo;
-  mo.nranks = opts.nranks;
-  mo.backend = opts.backend;
-  mo.chaos = opts.chaos;
-  mo.socket_dir = opts.socket_dir;
-
-  const progress::mode pmode =
-      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
-  if (pmode == progress::mode::engine) {
-    // Resolve the backend now: socket children ship exactly one telemetry
-    // lane per rank back to the parent, so an engine lane added in a child
-    // would be lost — those engines run without a lane and fold their
-    // summary counters into the child rank's lane at teardown instead.
-    const transport::backend_kind backend =
-        opts.backend ? *opts.backend : transport::backend_from_env();
-    const bool lane_ships = backend == transport::backend_kind::inproc;
-    const progress::engine::options eopts = opts.engine;
-    mo.process_services = [eopts, lane_ships](
-                              int /*nranks*/,
-                              int telemetry_world) -> std::shared_ptr<void> {
-      return std::make_shared<progress::engine_scope>(
-          eopts, lane_ships ? telemetry_world : -1);
-    };
+/// The per-process services of one run, held while the process's rank
+/// bodies execute. The progress engine (engine mode only) comes up first so
+/// the live sampler can detect an engine driver and skip its own thread;
+/// members are destroyed in reverse, so the sampler stops before its engine
+/// driver does.
+class host_services {
+ public:
+  host_services(const std::optional<progress::engine::options>& engine,
+                int telemetry_world) {
+    if (engine) engine_.emplace(*engine, telemetry_world);
+    live_ = telemetry::live::make_process_services();
   }
-  return mo;
+
+ private:
+  std::optional<progress::engine_scope> engine_;
+  std::shared_ptr<void> live_;
+};
+
+std::shared_ptr<const std::vector<int>> world_members(int nranks) {
+  std::vector<int> m(static_cast<std::size_t>(nranks));
+  std::iota(m.begin(), m.end(), 0);
+  return std::make_shared<const std::vector<int>>(std::move(m));
+}
+
+rank_results run_inproc(
+    int nranks, const std::optional<mpisim::chaos_config>& chaos,
+    const std::optional<progress::engine::options>& engine, const rank_fn& fn) {
+  transport::inproc::fabric fab(nranks);
+  if (chaos && chaos->enabled()) fab.set_chaos(*chaos);
+
+  // With a telemetry session installed, every rank thread records onto its
+  // own (world, rank) lane; the top-level "rank.main" span covers the whole
+  // rank function, so per-rank span coverage of wall time is complete by
+  // construction.
+  telemetry::session* const tsess = telemetry::global();
+  const int tworld = tsess != nullptr ? tsess->begin_world(nranks) : -1;
+  const auto members = world_members(nranks);
+
+  std::mutex err_mtx;
+  std::exception_ptr first_error;
+  rank_results results(static_cast<std::size_t>(nranks));
+  {
+    // Services stop before the error is rethrown: a progress engine must
+    // not outlive the fabric the rank endpoints lived on.
+    host_services services(engine, tworld);
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) {
+      threads.emplace_back([&, r] {
+        std::optional<telemetry::rank_scope> tscope;
+        if (tsess != nullptr) tscope.emplace(*tsess, tworld, r);
+        telemetry::span rank_span("rank.main");
+        // The endpoint lives inside the span and the rank scope: its
+        // destructor publishes transport counters onto this rank's lane.
+        transport::inproc::endpoint ep(fab, r);
+        mpisim::comm c(ep, members, r, transport::world_context,
+                       transport::world_context + 1);
+        try {
+          results[static_cast<std::size_t>(r)] = fn(c);
+        } catch (...) {
+          {
+            std::lock_guard lock(err_mtx);
+            if (!first_error) first_error = std::current_exception();
+          }
+          ep.abort_world();
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+
+  if (first_error) std::rethrow_exception(first_error);
+  return results;
+}
+
+/// The process-per-rank backends: proc::launch owns forking, rendezvous,
+/// telemetry lane shipping and error propagation; the body here runs in
+/// each forked child, so the child starts its own services (an engine
+/// thread would not survive the fork from the parent). Children ship
+/// exactly one telemetry lane per rank back to the parent, so an engine
+/// lane added in a child would be lost — those engines run without a lane
+/// and fold their summary counters into the rank's lane at teardown.
+rank_results run_forked(
+    transport::backend_kind backend, const run_options& opts,
+    const std::optional<mpisim::chaos_config>& chaos,
+    const std::optional<progress::engine::options>& engine, const rank_fn& fn) {
+  return transport::proc::launch(
+      backend, opts.nranks, chaos, opts.socket_dir,
+      [&](transport::endpoint& ep) {
+        host_services services(engine, /*telemetry_world=*/-1);
+        mpisim::comm c(ep, world_members(ep.world_size()), ep.world_rank(),
+                       transport::world_context, transport::world_context + 1);
+        return fn(c);
+      });
 }
 
 }  // namespace
 
 void launch(const run_options& opts,
             const std::function<void(mpisim::comm&)>& fn) {
-  scoped_run_defaults defaults(opts);
-  mpisim::run(to_mpisim_options(opts), fn);
+  (void)launch_collect(opts, [&fn](mpisim::comm& c) {
+    fn(c);
+    return std::vector<std::byte>{};
+  });
 }
 
-std::vector<std::vector<std::byte>> launch_collect(
-    const run_options& opts,
-    const std::function<std::vector<std::byte>(mpisim::comm&)>& fn) {
+rank_results launch_collect(const run_options& opts, const rank_fn& fn) {
   scoped_run_defaults defaults(opts);
-  return mpisim::run_collect(to_mpisim_options(opts), fn);
+  YGM_CHECK(opts.nranks > 0, "launch() requires a positive rank count");
+
+  const transport::backend_kind backend =
+      opts.backend ? *opts.backend : transport::backend_from_env();
+  // Environment-driven chaos lets the whole suite be rerun under fault
+  // injection without touching a call site; an explicit config wins.
+  const std::optional<mpisim::chaos_config> chaos =
+      opts.chaos ? opts.chaos : mpisim::chaos_config::from_env();
+  const progress::mode pmode =
+      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
+  std::optional<progress::engine::options> engine;
+  if (pmode == progress::mode::engine) engine = opts.engine;
+
+  if (backend == transport::backend_kind::inproc) {
+    return run_inproc(opts.nranks, chaos, engine, fn);
+  }
+  return run_forked(backend, opts, chaos, engine, fn);
 }
 
 namespace detail {

@@ -1,17 +1,12 @@
-// ygm::launch — the unified launch surface.
+// ygm::launch — the one way to start ranks, like `mpirun -n <nranks>`.
 //
-// Historically a run was configured through three mpisim::run(...) overloads
-// plus a scatter of YGM_* environment variables and per-object setters
-// (attach_virtual_network, set_sample_rate). This header collapses all of
-// it into one options struct and one entry point:
+// One options struct and one entry point configure a run:
 //
-//   ygm::run_options o;
-//   o.nranks = 8;
-//   o.progress_mode = ygm::progress::mode::engine;
-//   ygm::launch(o, [](ygm::mpisim::comm& c) { ... });
+//   ygm::launch({.nranks = 8, .progress_mode = ygm::progress::mode::engine},
+//               [](ygm::mpisim::comm& c) { ... });
 //
-// Configuration precedence — THE one place it is defined (docs/PROGRESS.md
-// reproduces this table):
+// Configuration precedence — THE one place it is defined (the docs point
+// here):
 //
 //   explicit run_options field  >  YGM_* environment variable  >  default
 //
@@ -30,13 +25,17 @@
 // (YGM_STALL_TIMEOUT_MS keeps its env-only path — it is a debugging
 // deadman, not a run parameter.)
 //
-// launch() also owns per-process service lifetime: with progress_mode =
-// engine it starts the progress engine (core/progress.hpp) in every OS
-// process hosting rank bodies — the driver process on the inproc backend,
-// each forked child on the socket backend — via
-// mpisim::run_options::process_services, and tears it down after the ranks
-// finish. The old mpisim::run overloads keep working unchanged (deprecated,
-// one-release notice) but never start an engine.
+// Backends (src/transport/): `inproc` runs the ranks as threads of this
+// process; `socket` and `shm` fork one OS process per rank
+// (transport/proc/launch.hpp) over Unix-domain sockets or shared-memory
+// rings.
+//
+// launch() also owns per-process service lifetime. In every OS process
+// hosting rank bodies — the driver process on inproc, each forked child on
+// socket and shm — it starts the progress engine (core/progress.hpp) when
+// progress_mode resolves to engine, then the live-telemetry services
+// (sampler, statusz), and stops them in reverse order after the ranks
+// finish.
 #pragma once
 
 #include <cstddef>
@@ -46,54 +45,60 @@
 #include <vector>
 
 #include "core/progress.hpp"
-#include "mpisim/runtime.hpp"
+#include "mpisim/comm.hpp"
+#include "mpisim/types.hpp"
 #include "net/params.hpp"
+#include "transport/endpoint.hpp"
 
 namespace ygm {
 
 /// Everything a run can be configured with. Default-constructed options
-/// reproduce mpisim::run(nranks, fn): inproc unless YGM_TRANSPORT says
+/// defer every knob to its YGM_* variable: inproc unless YGM_TRANSPORT says
 /// otherwise, chaos from YGM_CHAOS*, polling progress unless YGM_PROGRESS
-/// says otherwise, trace sampling from YGM_TRACE_SAMPLE, untimed.
+/// says otherwise, trace sampling from YGM_TRACE_SAMPLE, untimed. Every
+/// field has a default member initializer, so a designated initializer
+/// (`{.nranks = 4, .chaos = cfg}`) names only the fields it sets.
 struct run_options {
   int nranks = 1;
 
   /// Transport backend; nullopt defers to YGM_TRANSPORT (default inproc).
-  std::optional<transport::backend_kind> backend;
+  std::optional<transport::backend_kind> backend{};
 
   /// Fault injection; nullopt defers to YGM_CHAOS* (docs/CHAOS.md).
-  std::optional<mpisim::chaos_config> chaos;
+  std::optional<mpisim::chaos_config> chaos{};
 
-  /// Socket backend only: rendezvous directory ("" = fresh mkdtemp).
-  std::string socket_dir;
+  /// Process-per-rank backends (socket, shm) only: rendezvous directory
+  /// ("" = fresh mkdtemp under $TMPDIR, removed after the run). The shm
+  /// backend also derives its segment names from the directory's basename.
+  std::string socket_dir{};
 
   /// Progress mode; nullopt defers to YGM_PROGRESS (default polling).
   /// `engine` starts one progress thread per OS process hosting ranks.
-  std::optional<progress::mode> progress_mode;
+  std::optional<progress::mode> progress_mode{};
 
   /// Engine tuning (spin/sleep/ring sizing); only read in engine mode.
-  progress::engine::options engine;
+  progress::engine::options engine{};
 
   /// Causal-trace sample rate in [0, 1]; nullopt defers to YGM_TRACE_SAMPLE
   /// (default 0). Applied for the duration of the run, restored after.
-  std::optional<double> trace_sample;
+  std::optional<double> trace_sample{};
 
   /// Conservative virtual-time network model, attached to every comm_world
   /// constructed during the run (identically on all ranks, which is exactly
   /// the attach_virtual_network contract). Timed worlds never receive
   /// engine help — the virtual clock is rank-thread state.
-  std::optional<net::network_params> virtual_network;
+  std::optional<net::network_params> virtual_network{};
 
   /// Per-destination mailbox credit budget in bytes (flow control,
   /// docs/BACKPRESSURE.md); nullopt defers to YGM_CREDIT_BYTES (default
   /// 1 MiB). 0 disables credit gating. Mailboxes clamp the effective budget
   /// to at least twice their flush capacity so acks stay live.
-  std::optional<std::size_t> credit_bytes;
+  std::optional<std::size_t> credit_bytes{};
 
   /// Channel-level outbound byte cap enforced by the transport backends
   /// beneath the credit budget; nullopt defers to YGM_OUTQ_CAP_BYTES
   /// (default 4 MiB). 0 disables the cap.
-  std::optional<std::size_t> outq_cap_bytes;
+  std::optional<std::size_t> outq_cap_bytes{};
 
   /// Live-telemetry sampling period in milliseconds (docs/TELEMETRY.md
   /// §Live telemetry); -1 defers to YGM_SAMPLE_MS (default 100). 0 turns
@@ -109,13 +114,20 @@ struct run_options {
 };
 
 /// Run `fn(world_comm)` on opts.nranks ranks. Blocks until every rank
-/// returns; rethrows the first rank failure (see mpisim::run).
+/// returns.
+///
+/// If any rank throws, the world is aborted: ranks blocked in communication
+/// wake with ygm::error, every rank is joined/reaped, and the first rank's
+/// exception (process-per-rank backends: its message) is rethrown here, so
+/// a failing test cannot deadlock.
 void launch(const run_options& opts,
             const std::function<void(mpisim::comm&)>& fn);
 
 /// As launch(), for rank functions returning a byte blob; returns one blob
-/// per rank, ordered by rank (see mpisim::run_collect for the cross-backend
-/// result-channel contract).
+/// per rank, ordered by rank. This is the cross-backend result channel: on
+/// inproc the blobs are moved across threads, on socket and shm they are
+/// shipped over the result pipe — callers serialize with ygm::ser and
+/// cannot rely on shared memory with the rank bodies.
 std::vector<std::vector<std::byte>> launch_collect(
     const run_options& opts,
     const std::function<std::vector<std::byte>(mpisim::comm&)>& fn);

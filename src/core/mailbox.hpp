@@ -731,9 +731,12 @@ class mailbox {
       // Termination rounds only for a parked rank with nothing pending in
       // the handoff ring: a computing rank may still produce (false
       // quiescence), and an undrained ring means counted-but-undelivered
-      // messages.
+      // messages. Once a verdict is latched, only the rank may start the
+      // next detection epoch: a further poll here would consume the next
+      // round's verdict too, leaving this rank one epoch ahead of its
+      // peers and its next wait_empty() waiting on a round nobody joins.
       if (pump_->parked.load(std::memory_order_acquire) &&
-          deferred_->empty()) {
+          deferred_->empty() && !quiescence_seen_) {
         flush();
         if (term_.poll(stats_.hops_sent, stats_.hops_received)) {
           quiescence_seen_ = true;

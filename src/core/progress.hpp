@@ -10,8 +10,8 @@
 //   engine   — one progress thread per OS process hosting rank bodies: one
 //              for the whole world on the inproc backend (every rank lives
 //              in one process), one per forked rank process on the socket
-//              and shm backends. Started per run by
-//              ygm::launch through mpisim::run_options::process_services.
+//              and shm backends. Started per run by ygm::launch
+//              (core/launch.hpp) in every process that hosts ranks.
 //   station  — one per (comm_world, rank): the engine-visible face of a
 //              rank. Owns the rank's registered pumps and the
 //              progress_guard depth.
@@ -377,9 +377,9 @@ class engine {
 engine* current() noexcept;
 
 /// Owns the process engine and installs it as current() for its lifetime.
-/// One per OS process hosting rank bodies; ygm::launch creates it through
-/// mpisim::run_options::process_services (the driver process on inproc,
-/// each forked child on socket — an engine thread would not survive fork).
+/// One per OS process hosting rank bodies; ygm::launch creates it in each
+/// (the driver process on inproc, each forked child on socket and shm — an
+/// engine thread would not survive fork).
 class engine_scope {
  public:
   explicit engine_scope(engine::options opts = {}, int telemetry_world = -1);

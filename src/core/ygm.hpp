@@ -2,10 +2,7 @@
 //
 // Typical usage (see examples/quickstart.cpp):
 //
-//   ygm::run_options opts;
-//   opts.nranks = n_ranks;
-//   opts.progress_mode = ygm::progress::mode::engine;  // or omit: YGM_PROGRESS
-//   ygm::launch(opts, [](ygm::mpisim::comm& c) {
+//   ygm::launch({.nranks = n_ranks}, [](ygm::mpisim::comm& c) {
 //     ygm::core::comm_world world(c, /*cores_per_node=*/4,
 //                                 ygm::routing::scheme_kind::nlnr);
 //     ygm::core::mailbox<MyMsg> mb(world, [&](const MyMsg& m) { ... });
@@ -14,8 +11,8 @@
 //     mb.wait_empty();
 //   });
 //
-// ygm::launch (core/launch.hpp) supersedes the ygm::mpisim::run(...)
-// overloads; docs/PROGRESS.md §Migration has the mapping.
+// ygm::launch (core/launch.hpp) is the one way to start ranks; its
+// run_options table lists every knob and the YGM_* variable behind it.
 #pragma once
 
 #include "core/comm_world.hpp"
@@ -25,7 +22,6 @@
 #include "core/progress.hpp"
 #include "core/stats.hpp"
 #include "core/termination.hpp"
-#include "mpisim/runtime.hpp"
 #include "net/evaluator.hpp"
 #include "net/params.hpp"
 #include "routing/router.hpp"

@@ -27,11 +27,11 @@ void comm::send_bytes(int dest, int tag, std::vector<std::byte> payload) const {
   telemetry::add(telemetry::fast_counter::mpi_sends);
   telemetry::add(telemetry::fast_counter::mpi_send_bytes, payload.size());
   ep_->post(world_rank_of(dest),
-            envelope{rank_, tag, ctx_p2p_, std::move(payload)});
+            transport::envelope{rank_, tag, ctx_p2p_, std::move(payload)});
 }
 
 std::vector<std::byte> comm::recv_bytes(int src, int tag, status* st) const {
-  envelope e = ep_->recv_match(src, tag, ctx_p2p_);
+  transport::envelope e = ep_->recv_match(src, tag, ctx_p2p_);
   if (st != nullptr) {
     *st = status{e.src, e.tag, e.payload.size()};
   }
@@ -43,11 +43,12 @@ std::vector<std::byte> comm::recv_bytes(int src, int tag, status* st) const {
 void comm::coll_send_bytes(int dest, int tag, std::vector<std::byte> p) const {
   telemetry::add(telemetry::fast_counter::mpi_sends);
   telemetry::add(telemetry::fast_counter::mpi_send_bytes, p.size());
-  ep_->post(world_rank_of(dest), envelope{rank_, tag, ctx_coll_, std::move(p)});
+  ep_->post(world_rank_of(dest),
+            transport::envelope{rank_, tag, ctx_coll_, std::move(p)});
 }
 
 std::vector<std::byte> comm::coll_recv_bytes(int src, int tag) const {
-  envelope e = ep_->recv_match(src, tag, ctx_coll_);
+  transport::envelope e = ep_->recv_match(src, tag, ctx_coll_);
   telemetry::add(telemetry::fast_counter::mpi_recvs);
   telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
   return std::move(e.payload);

@@ -20,7 +20,6 @@
 
 #include "common/assert.hpp"
 #include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
-#include "mpisim/envelope.hpp"
 #include "mpisim/ops.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/types.hpp"
@@ -31,7 +30,7 @@ namespace ygm::mpisim {
 
 class comm {
  public:
-  /// Constructed by runtime::run (world communicator) or by split()/dup().
+  /// Constructed by ygm::launch (world communicator) or by split()/dup().
   comm(transport::endpoint& ep,
        std::shared_ptr<const std::vector<int>> members, int rank,
        std::uint64_t ctx_p2p, std::uint64_t ctx_coll);
@@ -223,7 +222,7 @@ request comm::irecv(T& out, int src, int tag) const {
   const std::uint64_t ctx = ctx_p2p_;
   return request{[ep, &out, src, tag, ctx](bool block) {
     if (block) {
-      envelope e = ep->recv_match(src, tag, ctx);
+      transport::envelope e = ep->recv_match(src, tag, ctx);
       out = ser::from_bytes<T>(e.payload);
       return true;
     }

@@ -144,7 +144,7 @@ void session::write_metrics_json(std::ostream& os) const {
   const metrics_registry m = merged_metrics();
   os << "{\n";
   write_registry_json(os, m, "  ");
-  // A session reused across several mpisim::run calls holds one lane group
+  // A session reused across several ygm::launch calls holds one lane group
   // per run; the top-level sections above merge ALL of them (a gauge keeps
   // the max across stale worlds). Emit each world separately too, so
   // consumers can attribute metrics to the run that produced them.

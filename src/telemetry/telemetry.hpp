@@ -4,8 +4,8 @@
 // Design (docs/TELEMETRY.md has the full story):
 //
 //   session   — process-wide collection point. Owns one recorder per
-//               (world, rank) lane; mpisim::run creates a lane per rank
-//               thread automatically whenever a global session is
+//               (world, rank) lane; ygm::launch creates a lane per rank
+//               automatically whenever a global session is
 //               installed. Merging and export are pull-based: nothing is
 //               aggregated until write_*()/print_summary() runs.
 //   recorder  — one per simulated rank: a metrics_registry, an event ring,
@@ -197,7 +197,7 @@ class session {
 
   /// All per-rank registries (plus folded fast metrics) merged into one.
   /// The all-worlds overload folds every lane the session ever opened —
-  /// reusing one session across consecutive mpisim::run calls therefore
+  /// reusing one session across consecutive ygm::launch calls therefore
   /// mixes runs (gauges keep the max across them); use the per-world
   /// overload to read one run's metrics in isolation.
   metrics_registry merged_metrics() const;
@@ -240,7 +240,7 @@ class session {
 session* global();
 
 /// Install (or clear, with nullptr) the global session. Not thread-safe:
-/// call from the driver thread before/after mpisim::run.
+/// call from the driver thread before/after ygm::launch.
 void set_global(session* s);
 
 namespace detail {

@@ -29,8 +29,9 @@
 // Backends today: transport/inproc/ (threads as ranks, one process),
 // transport/socket/ (one process per rank over Unix-domain sockets), and
 // transport/shm/ (one process per rank over shared-memory SPSC rings).
-// Selection is a runtime choice: mpisim::run takes a backend argument and
-// defaults to the YGM_TRANSPORT environment variable.
+// Selection is a runtime choice: ygm::launch takes a backend field
+// (run_options::backend) and defaults to the YGM_TRANSPORT environment
+// variable.
 #pragma once
 
 #include <atomic>

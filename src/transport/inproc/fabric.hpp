@@ -33,7 +33,7 @@ class fabric {
   mail_slot& slot(int world_rank);
 
   /// Install seeded fault injection on every rank slot. Must run before any
-  /// traffic flows (mpisim::run calls this before spawning rank threads).
+  /// traffic flows (ygm::launch calls this before spawning rank threads).
   void set_chaos(const chaos_config& cfg);
 
   /// The chaos config in force (defaults to everything-off).

@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +20,8 @@
 #include "ser/serialize.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
+#include "transport/shm/shm_transport.hpp"
+#include "transport/socket/socket_transport.hpp"
 
 namespace ygm::transport::proc {
 
@@ -138,6 +142,20 @@ void remove_rendezvous_dir(const std::string& dir) {
   (void)::rmdir(dir.c_str());
 }
 
+/// Build the child's endpoint over the rendezvous directory. Runs in the
+/// forked child; blocking until the world has rendezvoused is the
+/// endpoint's business (both backends enforce their own handshake
+/// deadline). `chaos` is non-null only when fault injection is enabled.
+std::unique_ptr<transport::endpoint> make_endpoint(backend_kind backend,
+                                                   const std::string& dir,
+                                                   int rank, int nranks,
+                                                   const chaos_config* chaos) {
+  if (backend == backend_kind::shm) {
+    return std::make_unique<shm::endpoint>(dir, rank, nranks, chaos);
+  }
+  return std::make_unique<socket::endpoint>(dir, rank, nranks, chaos);
+}
+
 bool is_abort_echo(const std::string& msg) {
   // Ranks that died *because* the world was poisoned report the generic
   // abort text; the rank that started it carries the root cause.
@@ -147,16 +165,20 @@ bool is_abort_echo(const std::string& msg) {
 }  // namespace
 
 std::vector<std::vector<std::byte>> launch(
-    int nranks, const std::optional<chaos_config>& chaos,
-    const std::string& dir_hint, const launch_hooks& hooks,
+    backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
+    const std::string& dir_hint,
     const std::function<std::vector<std::byte>(transport::endpoint&)>& body) {
+  const std::string backend_name(to_string(backend));
+  YGM_CHECK(backend != backend_kind::inproc,
+            "proc::launch forks one process per rank; inproc runs threads");
   YGM_CHECK(nranks > 0,
-            hooks.backend_name + " launch requires a positive rank count");
-  YGM_CHECK(static_cast<bool>(hooks.make_endpoint),
-            hooks.backend_name + " launch needs an endpoint factory");
+            backend_name + " launch requires a positive rank count");
 
   const std::string dir =
-      dir_hint.empty() ? make_rendezvous_dir(hooks.dir_prefix) : dir_hint;
+      dir_hint.empty()
+          ? make_rendezvous_dir(backend == backend_kind::shm ? "ygm-shm"
+                                                             : "ygm-sock")
+          : dir_hint;
   const bool own_dir = dir_hint.empty();
   const chaos_config* chaos_ptr =
       chaos.has_value() && chaos->enabled() ? &*chaos : nullptr;
@@ -208,7 +230,7 @@ std::vector<std::vector<std::byte>> launch(
       {
         telemetry::span rank_span("rank.main");
         try {
-          auto ep = hooks.make_endpoint(dir, r, nranks, chaos_ptr);
+          auto ep = make_endpoint(backend, dir, r, nranks, chaos_ptr);
           try {
             result = body(*ep);
           } catch (...) {
@@ -220,7 +242,7 @@ std::vector<std::vector<std::byte>> launch(
           errmsg = e.what();
         } catch (...) {
           rank_status = 1;
-          errmsg = "unknown error in " + hooks.backend_name + " rank";
+          errmsg = "unknown error in " + backend_name + " rank";
         }
       }  // rank.main span recorded; endpoint stats published to the lane
     }
@@ -283,9 +305,14 @@ std::vector<std::vector<std::byte>> launch(
         WIFEXITED(st) ? WEXITSTATUS(st) : 128 + WTERMSIG(st);
   }
 
-  // Backend sweep first (it may unlink artifacts *inside* dir left by
-  // abnormally-dying children), then the directory itself.
-  if (hooks.post_reap) hooks.post_reap(dir, nranks);
+  // Sweep shm segments first (healthy ranks unlinked their own already, so
+  // this only catches ranks that died before their endpoint destructor
+  // ran), then the directory itself.
+  if (backend == backend_kind::shm) {
+    for (int r = 0; r < nranks; ++r) {
+      (void)::shm_unlink(shm::segment_name(dir, r).c_str());
+    }
+  }
   if (own_dir) remove_rendezvous_dir(dir);
 
   // Parse reports; absorb telemetry even from failed ranks (their lanes
@@ -297,7 +324,7 @@ std::vector<std::vector<std::byte>> launch(
     const auto& blob = raw[static_cast<std::size_t>(r)];
     std::string msg;
     if (blob.empty()) {
-      msg = hooks.backend_name + " rank " + std::to_string(r) +
+      msg = backend_name + " rank " + std::to_string(r) +
             " terminated without reporting (exit code " +
             std::to_string(exit_codes[static_cast<std::size_t>(r)]) + ")";
     } else {
@@ -315,7 +342,7 @@ std::vector<std::vector<std::byte>> launch(
           msg = std::move(err);
         }
       } catch (const std::exception& e) {
-        msg = hooks.backend_name + " rank " + std::to_string(r) +
+        msg = backend_name + " rank " + std::to_string(r) +
               " sent a corrupt report: " + e.what();
       }
     }

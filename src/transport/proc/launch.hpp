@@ -1,10 +1,12 @@
-// Generic rank-0 rendezvous/launch helper for process-per-rank transport
-// backends: fork one OS process per rank, rendezvous them over a shared
-// directory, and collect per-rank results and telemetry back in the parent.
-// The socket and shm backends are both thin wrappers over this — they
-// differ only in the endpoint they construct over the rendezvous directory
-// and in what the parent sweeps up afterwards (socket files vs. orphaned
-// shm segments).
+// Rank-0 rendezvous/launch helper for the process-per-rank transport
+// backends (socket, shm): fork one OS process per rank, rendezvous them over
+// a shared directory, and collect per-rank results and telemetry back in the
+// parent. The two backends differ only in the endpoint a child constructs
+// over the rendezvous directory and in what the parent sweeps up afterwards:
+// socket files live inside the directory; the shm backend derives its
+// segment names from the directory's basename and the parent shm_unlinks
+// "/<token>.r<i>" for every rank after reaping, because a child that died
+// abnormally (signal, _exit mid-run) never reaches its endpoint destructor.
 //
 // Result channel: one pipe per rank. A child runs the rank body, then ships
 // a single framed blob — status, error text, the body's result bytes, and a
@@ -26,7 +28,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,40 +37,16 @@
 
 namespace ygm::transport::proc {
 
-/// What a backend plugs into the shared fork-per-rank machinery.
-struct launch_hooks {
-  /// Name used in error messages ("socket rank 3 terminated ...").
-  std::string backend_name = "proc";
-
-  /// mkdtemp template prefix for a fresh rendezvous directory
-  /// ("ygm-sock" -> $TMPDIR/ygm-sock-XXXXXX). The directory doubles as the
-  /// statusz endpoint directory for every child, so live tooling discovers
-  /// the whole job from it.
-  std::string dir_prefix = "ygm-proc";
-
-  /// Build the child's endpoint over the rendezvous directory. Runs in the
-  /// forked child; blocking until the world has rendezvoused is the
-  /// factory's business (both backends enforce their own handshake
-  /// deadline). `chaos` is non-null only when fault injection is enabled.
-  std::function<std::unique_ptr<transport::endpoint>(
-      const std::string& dir, int rank, int nranks, const chaos_config* chaos)>
-      make_endpoint;
-
-  /// Parent-side sweep after every child has been reaped — the place to
-  /// unlink rendezvous artifacts that outlive an abnormally-dying child
-  /// (the shm backend unlinks orphaned segments here). Runs whether or not
-  /// the ranks succeeded, before the rendezvous directory is removed.
-  std::function<void(const std::string& dir, int nranks)> post_reap;
-};
-
-/// Run `body` on `nranks` forked processes connected by the hooks' endpoint;
-/// returns one result blob per rank, ordered by rank. `dir_hint` names the
-/// rendezvous directory ("" = fresh mkdtemp under $TMPDIR, removed
-/// afterwards). Throws ygm::error carrying the first failing rank's message
-/// if any rank fails.
+/// Run `body` on `nranks` forked processes connected by `backend`'s
+/// endpoint (socket or shm); returns one result blob per rank, ordered by
+/// rank. `dir_hint` names the rendezvous directory ("" = fresh mkdtemp
+/// under $TMPDIR — ygm-sock-XXXXXX or ygm-shm-XXXXXX — removed afterwards).
+/// The directory doubles as the statusz endpoint directory for every child,
+/// so live tooling discovers the whole job from it. Throws ygm::error
+/// carrying the first failing rank's message if any rank fails.
 std::vector<std::vector<std::byte>> launch(
-    int nranks, const std::optional<chaos_config>& chaos,
-    const std::string& dir_hint, const launch_hooks& hooks,
+    backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
+    const std::string& dir_hint,
     const std::function<std::vector<std::byte>(transport::endpoint&)>& body);
 
 }  // namespace ygm::transport::proc

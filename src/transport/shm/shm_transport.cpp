@@ -120,8 +120,19 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   }
 
   // Map every peer's segment (we are the producer of our pair_block there),
-  // retrying while the file is still appearing or being sized.
+  // retrying while the file is still appearing or being sized. A faster
+  // peer may already have finished its handshake, failed, poisoned every
+  // segment it mapped (ours included) and unlinked its own; every retry
+  // therefore also reads our own abort flag and ends with the abort echo
+  // the launcher recognises, instead of waiting out the deadline and
+  // reporting a timeout that hides the real failure.
   const double deadline = monotonic_seconds() + handshake_timeout_s;
+  const auto check_retry = [&](const std::string& waiting_for) {
+    YGM_CHECK(h->aborted.load(std::memory_order_acquire) == 0,
+              "shm world aborted during rendezvous");
+    YGM_CHECK(monotonic_seconds() < deadline,
+              "shm rendezvous timed out " + waiting_for);
+  };
   for (int d = 0; d < nranks_; ++d) {
     if (d == rank_) continue;
     const std::string name = segment_name(dir, d);
@@ -132,9 +143,7 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
       YGM_CHECK(errno == ENOENT || errno == EACCES,
                 std::string("shm_open failed on ") + name + ": " +
                     std::strerror(errno));
-      YGM_CHECK(monotonic_seconds() < deadline,
-                "shm rendezvous timed out waiting for rank " +
-                    std::to_string(d));
+      check_retry("waiting for rank " + std::to_string(d));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     // ftruncate may not have landed yet; wait for the full size so the map
@@ -143,8 +152,7 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
       struct stat st{};
       YGM_CHECK(::fstat(pfd, &st) == 0, "fstat failed during shm rendezvous");
       if (static_cast<std::size_t>(st.st_size) >= bytes) break;
-      YGM_CHECK(monotonic_seconds() < deadline,
-                "shm rendezvous timed out sizing rank " + std::to_string(d));
+      check_retry("sizing rank " + std::to_string(d));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     void* pbase =
@@ -154,9 +162,7 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
               std::string("mmap failed: ") + std::strerror(errno));
     auto* ph = reinterpret_cast<seg_header*>(pbase);
     while (ph->magic.load(std::memory_order_acquire) != seg_magic) {
-      YGM_CHECK(monotonic_seconds() < deadline,
-                "shm rendezvous timed out initializing rank " +
-                    std::to_string(d));
+      check_retry("initializing rank " + std::to_string(d));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     segments_[static_cast<std::size_t>(d)] = {pbase, bytes, ph};
@@ -217,7 +223,7 @@ endpoint::~endpoint() {
 
   // Unlink our own segment; mappings (ours and every producer's) survive
   // the unlink, so stragglers write into orphaned memory harmlessly. The
-  // launcher's post_reap sweep covers ranks that never reached this line.
+  // launcher's segment sweep covers ranks that never reached this line.
   for (auto& s : segments_) {
     if (s.base != nullptr) ::munmap(s.base, s.bytes);
     s = {};

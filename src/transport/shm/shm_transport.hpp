@@ -46,8 +46,9 @@
 // Failure: abort_world sets an aborted flag in every mapped segment and
 // bumps every doorbell; peers notice on their next pump or park and poison
 // their slots. A peer that dies without fin leaves its segment behind —
-// the launcher's post_reap sweep shm_unlinks every "/<token>.r<i>" after
-// reaping children, so abnormal exits cannot leak /dev/shm space.
+// the launcher (transport/proc/launch.cpp) shm_unlinks every
+// "/<token>.r<i>" after reaping children, so abnormal exits cannot leak
+// /dev/shm space.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +113,9 @@ class endpoint final : public transport::endpoint {
  public:
   /// Rendezvous under `dir` (every rank of the world passes the same
   /// directory): create this rank's segment, then map every peer's. Blocks
-  /// until all segments are up or `handshake_timeout_s` elapses. `chaos`
-  /// installs fault injection on the receive slot (nullptr: none).
+  /// until all segments are up, a peer poisons this rank's segment (throws
+  /// "world aborted"), or `handshake_timeout_s` elapses. `chaos` installs
+  /// fault injection on the receive slot (nullptr: none).
   endpoint(const std::string& dir, int rank, int nranks,
            const chaos_config* chaos);
   ~endpoint() override;

@@ -55,7 +55,7 @@ TEST_P(DegreeCountSchemes, MatchesSerialOracleOnErdosRenyi) {
     ++oracle[e.dst];
   }
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     const auto res =
         ygm::apps::degree_count(world, make(c.rank()), /*capacity=*/512);
@@ -84,7 +84,7 @@ TEST_P(DegreeCountSchemes, MatchesSerialOracleOnRmat) {
     ++oracle[e.dst];
   }
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     const auto res = ygm::apps::degree_count(world, make(c.rank()), 1024);
     const round_robin_partition part{c.size()};
@@ -113,7 +113,7 @@ std::vector<vertex_id> run_cc(const topology& topo, scheme_kind kind,
   std::vector<vertex_id> labels(n, 0);
   std::uint64_t bc_total = 0;
   int pass_count = 0;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     const round_robin_partition part{c.size()};
 
@@ -216,7 +216,7 @@ TEST(ConnectedComponents, DelegatesReduceLabelTrafficOnSkewedGraphs) {
   std::uint64_t hops_plain = 0;
   std::uint64_t hops_delegated = 0;
   for (int use_delegates = 0; use_delegates < 2; ++use_delegates) {
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
       comm_world world(c, topo, scheme_kind::node_local);
       std::vector<edge> mine;
       for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -263,7 +263,7 @@ TEST_P(SpmvSchemes, MatchesReferenceWithAndWithoutDelegates) {
   const auto ref = ygm::linalg::spmv_reference(n, all, x);
 
   for (const bool use_delegates : {false, true}) {
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
       comm_world world(c, topo, GetParam());
       const round_robin_partition part{c.size()};
 
@@ -317,7 +317,7 @@ TEST(Spmv, DelegatesEliminateHubMessages) {
   std::uint64_t sends_plain = 0;
   std::uint64_t sends_delegated = 0;
   for (const bool use_delegates : {false, true}) {
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
       comm_world world(c, topo, scheme_kind::node_remote);
       const round_robin_partition part{c.size()};
       std::vector<triplet> mine;
@@ -340,7 +340,7 @@ TEST(Spmv, DelegatesEliminateHubMessages) {
 }
 
 TEST(Spmv, RepeatedMultiplicationIsStable) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     const std::uint64_t n = 32;
     ygm::xoshiro256 rng(6);
@@ -358,7 +358,7 @@ TEST(Spmv, RepeatedMultiplicationIsStable) {
 }
 
 TEST(Spmv, ValidatesInputLengths) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     ygm::apps::dist_spmv A(world, 10, {}, {});
     std::vector<double> wrong(3, 0.0);

@@ -284,7 +284,7 @@ TEST(CreditConfig, LaunchFieldWinsOverEnvAndDefault) {
 }
 
 TEST(CreditConfig, BudgetClampedToTwiceCapacityAndZeroDisables) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, topology(1, 2), scheme_kind::no_route);
     world.set_credit_bytes(1);  // absurdly small: ack liveness would die
     mailbox<int> tiny(world, [](const int&) {}, 4096);
@@ -329,12 +329,12 @@ TEST(CreditConfig, BudgetClampedToTwiceCapacityAndZeroDisables) {
 
 TEST(SocketOutqBound, StalledPumpDoesNotGrowQueueUnboundedly) {
   // Ranks are forked processes on the socket backend, so violations are
-  // thrown (exceptions propagate to the parent; gtest EXPECTs do not).
-  sim::run_options o;
+  // thrown: the parent sees the rank's message.
+  ygm::run_options o;
   o.nranks = 2;
   o.backend = ygm::transport::backend_kind::socket;
   o.chaos = sim::chaos_config{};
-  const auto blobs = sim::run_collect(o, [](sim::comm& c) {
+  const auto blobs = ygm::launch_collect(o, [](sim::comm& c) {
     constexpr int kMsgs = 800;
     constexpr std::size_t kPayload = 32 * 1024;  // 25.6 MiB total
     const auto require = [](bool ok, const std::string& what) {

@@ -116,7 +116,7 @@ TEST(CausalSampling, RateEndpointsAndDeterminism) {
 std::uint64_t all_to_all_wire_bytes() {
   const topology topo(2, 2);
   std::uint64_t wire = 0;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     // Credit acks piggyback on flushes whose timing depends on thread
     // interleaving, which would make the wire-byte totals compared below
@@ -216,7 +216,7 @@ void run_journey_trial(scheme_kind scheme) {
 
   const topology topo(2, 2);
   constexpr int msgs = 30;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme);
     int recv = 0;
     mailbox<std::uint32_t> mb(world, [&](const std::uint32_t&) { ++recv; },
@@ -281,7 +281,7 @@ TEST(CausalJourneys, SurviveChaosAcrossSeedsAndSampleRates) {
     t.chaos = sim::chaos_config::light(seed);
 
     std::vector<std::string> violations;
-    sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+    ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
       const auto local = ygm::core::run_chaos_trial(c, t);
       const auto gathered = c.gather(local, 0);
       if (c.rank() == 0) {
@@ -321,7 +321,7 @@ TEST(CausalWatchdog, StallDumpsParseablePostmortem) {
   // Rank 0 flushes a message toward rank 1 and waits; rank 1 sleeps through
   // the watchdog window before servicing its mailbox, so rank 0 sees zero
   // quiescence progress and must dump the flight recorder.
-  sim::run(2, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [&](sim::comm& c) {
     comm_world world(c, topology(2, 1), scheme_kind::no_route);
     int recv = 0;
     mailbox<int> mb(world, [&](const int&) { ++recv; }, 64);
@@ -369,7 +369,7 @@ TEST(CausalWatchdog, QuiescentRunNeverFires) {
   tel::session session;
   tel::set_global(&session);
   causal::set_stall_timeout_ms(10000);
-  sim::run(2, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [&](sim::comm& c) {
     comm_world world(c, topology(2, 1), scheme_kind::no_route);
     int recv = 0;
     mailbox<int> mb(world, [&](const int&) { ++recv; });

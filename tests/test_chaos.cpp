@@ -1,4 +1,4 @@
-// Chaos-mode tests: seeded fault injection (mpisim/chaos.hpp) against the
+// Chaos-mode tests: seeded fault injection (transport/chaos.hpp) against the
 // delivery-invariant checker (core/invariants.hpp), plus deterministic unit
 // tests of each fault mechanism. docs/CHAOS.md has the methodology and the
 // seed-reproduction recipe.
@@ -84,7 +84,7 @@ trial_config make_trial(const sweep_cell& cell, std::uint64_t seed) {
 /// Run one trial end to end; returns all ranks' violations (rank 0's view).
 std::vector<std::string> sweep_one(const trial_config& t) {
   std::vector<std::string> all;
-  sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+  ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     const auto gathered = c.gather(local, 0);
     if (c.rank() == 0) {
@@ -125,7 +125,7 @@ TEST(ChaosUnit, IprobeMissCapBoundsConsecutiveFalseNegatives) {
   cfg.seed = 9;
   cfg.iprobe_miss_prob = 1.0;  // every eligible probe misses...
   cfg.max_consecutive_misses = 4;  // ...but never more than 4 in a row
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     constexpr int kTag = 5;
     if (c.rank() == 1) c.send(42, 0, kTag);
     c.barrier();  // message is queued at rank 0 before it probes
@@ -147,7 +147,7 @@ TEST(ChaosUnit, PerSourceOrderSurvivesMaximalDelay) {
   cfg.seed = 31;
   cfg.delay_prob = 1.0;
   cfg.max_delay_ticks = 16;
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     constexpr int kTag = 7;
     constexpr int kCount = 50;
     if (c.rank() == 1) {
@@ -169,7 +169,7 @@ TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
   cfg.seed = 3;
   cfg.delay_prob = 1.0;
   cfg.max_delay_ticks = 64;
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     if (c.rank() == 1) c.send(std::string("late"), 0, 2);
     if (c.rank() == 0) {
       EXPECT_EQ(c.recv<std::string>(1, 2), "late");
@@ -219,7 +219,7 @@ TEST(ChaosUnit, SameSeedSameFaultPattern) {
     cfg.seed = seed;
     cfg.iprobe_miss_prob = 0.5;
     cfg.max_consecutive_misses = 8;
-    sim::run(2, cfg, [&](sim::comm& c) {
+    ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
       if (c.rank() == 1) {
         for (int i = 0; i < 20; ++i) c.send(i, 0, 4);
       }
@@ -246,7 +246,7 @@ TEST(ChaosUnit, SameSeedSameFaultPattern) {
 // --------------------------------------- ledger unit behaviour (no chaos)
 
 TEST(DeliveryLedger, FlagsDuplicatesSealedDeliveriesAndCorruption) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     delivery_ledger ledger(0, 1);
     auto m = ledger.make_p2p(0, 16);
     ledger.note_delivery(m);
@@ -290,7 +290,7 @@ TEST(ChaosTelemetry, CountersAgreeWithLedgerAccounting) {
   ygm::telemetry::session sess;
   ygm::telemetry::set_global(&sess);
   std::vector<std::string> violations;
-  sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+  ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     if (c.rank() == 0) violations = local;
   });
@@ -328,7 +328,7 @@ struct asym_msg {
 };
 
 TEST(ChaosSelfSend, SerializedLoopbackSurfacesAsymmetricSerialize) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     asym_msg got;
     mailbox<asym_msg> mb(world, [&](const asym_msg& m) { got = m; });
@@ -346,7 +346,7 @@ TEST(ChaosSelfSend, SerializedLoopbackSurfacesAsymmetricSerialize) {
 }
 
 TEST(ChaosSelfSend, SymmetricTypesRoundTripUnchanged) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     std::vector<probe_msg> got;
     mailbox<probe_msg> mb(world,

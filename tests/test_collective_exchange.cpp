@@ -45,7 +45,7 @@ class CollectiveExchangeMachines
 TEST_P(CollectiveExchangeMachines, DeliversRandomTrafficExactlyOnce) {
   const auto& mc = GetParam();
   const topology topo(mc.nodes, mc.cores);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, mc.kind);
     collective_exchange<std::uint64_t> ex(world);
 
@@ -78,7 +78,7 @@ TEST_P(CollectiveExchangeMachines, DeliversRandomTrafficExactlyOnce) {
 TEST_P(CollectiveExchangeMachines, RepeatedExchangesStayConsistent) {
   const auto& mc = GetParam();
   const topology topo(mc.nodes, mc.cores);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, mc.kind);
     collective_exchange<int> ex(world);
     for (int round = 0; round < 3; ++round) {
@@ -106,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CollectiveExchange, VariableLengthMessagesSurvivePhases) {
   const topology topo(2, 4);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     collective_exchange<std::string> ex(world);
     std::vector<std::pair<int, std::string>> outgoing;
@@ -128,7 +128,7 @@ TEST(CollectiveExchange, VariableLengthMessagesSurvivePhases) {
 
 TEST(CollectiveExchange, AgreesWithMailboxOnIdenticalTraffic) {
   const topology topo(2, 4);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
 
     std::uint64_t mailbox_sum = 0;
@@ -155,7 +155,7 @@ TEST(CollectiveExchange, AgreesWithMailboxOnIdenticalTraffic) {
 }
 
 TEST(CollectiveExchange, RejectsInvalidDestination) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     collective_exchange<int> ex(world);
     std::vector<std::pair<int, int>> bad{{5, 1}};

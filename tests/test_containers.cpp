@@ -26,7 +26,7 @@ using ygm::routing::topology;
 // -------------------------------------------------------------------- bag
 
 TEST(Bag, InsertsAreCountedAndGatherable) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::nlnr);
     ygm::container::bag<std::uint64_t> b(world);
     for (int i = 0; i < 100; ++i) {
@@ -45,7 +45,7 @@ TEST(Bag, InsertsAreCountedAndGatherable) {
 }
 
 TEST(Bag, SpreadsLoadAcrossRanks) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     ygm::container::bag<int> b(world);
     for (int i = 0; i < 500; ++i) b.async_insert(i);
@@ -58,7 +58,7 @@ TEST(Bag, SpreadsLoadAcrossRanks) {
 }
 
 TEST(Bag, LocalInsertSkipsCommunication) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     ygm::container::bag<std::string> b(world);
     b.local_insert("mine");
@@ -71,7 +71,7 @@ TEST(Bag, LocalInsertSkipsCommunication) {
 // ----------------------------------------------------------- counting_set
 
 TEST(CountingSet, CountsDuplicatesAcrossRanks) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::node_local);
     ygm::container::counting_set<std::string> cs(world);
     // Every rank inserts "common" 10 times and a private key once.
@@ -90,7 +90,7 @@ TEST(CountingSet, CountsDuplicatesAcrossRanks) {
 }
 
 TEST(CountingSet, TopKIsIdenticalOnEveryRank) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     ygm::container::counting_set<std::uint64_t> cs(world);
     // Key k gets k inserts (spread over ranks).
@@ -114,7 +114,7 @@ TEST(CountingSet, TopKIsIdenticalOnEveryRank) {
 // -------------------------------------------------------------------- map
 
 TEST(Map, InsertAndGetRoundTrip) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::node_remote);
     ygm::container::map<std::string, std::uint64_t> m(world);
     m.async_insert("key-" + std::to_string(c.rank()),
@@ -150,7 +150,7 @@ TEST(Map, InsertAndGetRoundTrip) {
 }
 
 TEST(Map, ReducerAccumulates) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_local);
     ygm::container::map<std::uint64_t, std::uint64_t> m(
         world, [](const std::uint64_t& a, const std::uint64_t& b) {
@@ -171,7 +171,7 @@ TEST(Map, ReducerAccumulates) {
 }
 
 TEST(Map, EraseRemovesKeys) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     ygm::container::map<int, int> m(world);
     if (c.rank() == 0) {
@@ -189,7 +189,7 @@ TEST(Map, EraseRemovesKeys) {
 TEST(Map, GetCallbacksMayChainFurtherGets) {
   // Reply callbacks issuing new requests exercise the multi-round
   // wait_empty protocol.
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     ygm::container::map<int, int> m(world);
     if (c.rank() == 0) {
@@ -217,7 +217,7 @@ TEST(Map, GetCallbacksMayChainFurtherGets) {
 // ------------------------------------------------------------------ array
 
 TEST(Array, SetAndAddResolveThroughReducer) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     comm_world world(c, 3, scheme_kind::node_local);
     ygm::container::array<double> a(world, 50, 0.0);
     // Everyone adds 1.5 to every slot.
@@ -233,7 +233,7 @@ TEST(Array, SetAndAddResolveThroughReducer) {
 }
 
 TEST(Array, CustomReducerTakesMax) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     ygm::container::array<int> a(
         world, 10, 0, [](const int& x, const int& y) { return std::max(x, y); });
@@ -249,7 +249,7 @@ TEST(Array, CustomReducerTakesMax) {
 }
 
 TEST(Array, RejectsOutOfRangeIndex) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     ygm::container::array<int> a(world, 5);
     EXPECT_THROW(a.async_set(5, 1), ygm::error);
@@ -260,7 +260,7 @@ TEST(Array, RejectsOutOfRangeIndex) {
 // ----------------------------------------------------------- disjoint_set
 
 TEST(DisjointSet, UnionsMergeAcrossRanks) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::node_remote);
     ygm::container::disjoint_set ds(world, 100);
     EXPECT_EQ(ds.num_sets(), 100u);
@@ -296,7 +296,7 @@ TEST(DisjointSet, RandomUnionsMatchSerialOracle) {
   const auto oracle =
       ygm::apps::connected_components_reference(n, edges);
 
-  sim::run(6, [&](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [&](sim::comm& c) {
     comm_world world(c, 3, scheme_kind::nlnr);
     ygm::container::disjoint_set ds(world, n);
     for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -316,7 +316,7 @@ TEST(DisjointSet, RandomUnionsMatchSerialOracle) {
 }
 
 TEST(DisjointSet, SelfUnionAndRepeatsAreIdempotent) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_local);
     ygm::container::disjoint_set ds(world, 10);
     for (int rep = 0; rep < 5; ++rep) {
@@ -339,7 +339,7 @@ TEST(DisjointSet, SelfUnionAndRepeatsAreIdempotent) {
 namespace {
 
 TEST(Set, InsertContainsEraseLifecycle) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     comm_world world(c, 3, scheme_kind::node_remote);
     ygm::container::set<std::string> s(world);
     s.async_insert("shared");
@@ -367,7 +367,7 @@ TEST(Set, InsertContainsEraseLifecycle) {
 }
 
 TEST(Set, ContainsCallbackMayChainInserts) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     ygm::container::set<int> s(world);
     if (c.rank() == 0) s.async_insert(0);
@@ -387,7 +387,7 @@ TEST(Set, ContainsCallbackMayChainInserts) {
 }
 
 TEST(Set, ConcurrentInsertsFromAllRanksConverge) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::node_local);
     ygm::container::set<std::uint64_t> s(world, 64);
     ygm::xoshiro256 rng(6 + static_cast<std::uint64_t>(c.rank()));

@@ -127,7 +127,7 @@ struct empty_msg {
 
 TEST(MailboxEdge, EmptyPayloadMessagesDeliver) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     int got = 0;
     mailbox<empty_msg> mb(world, [&](const empty_msg&) { ++got; }, 64);
@@ -144,7 +144,7 @@ TEST(MailboxEdge, MessagesLargerThanCapacityStillFlow) {
   // Capacity is a flush trigger, not a size limit: a message bigger than
   // the whole mailbox must be shipped in its own oversized packet.
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     std::size_t got_bytes = 0;
     mailbox<std::string> mb(
@@ -162,7 +162,7 @@ TEST(MailboxEdge, ManySmallMessagesUnderTinyCapacity) {
   // Worst-case flush churn: capacity 1 forces an exchange per record, across
   // a routing scheme with forwarding.
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t got = 0;
     mailbox<std::uint8_t> mb(world, [&](const std::uint8_t& v) { got += v; },
@@ -178,7 +178,7 @@ TEST(MailboxEdge, ManySmallMessagesUnderTinyCapacity) {
 
 TEST(MailboxEdge, InterleavedSendAndBcastStreams) {
   const topology topo(2, 3);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::uint64_t p2p = 0;
     std::uint64_t bc = 0;

@@ -217,7 +217,7 @@ TEST(Delegates, EmptySetBehaves) {
 }
 
 TEST(Delegates, SelectionAgreesAcrossRanks) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     ygm::core::comm_world world(c, 2, ygm::routing::scheme_kind::node_local);
     const round_robin_partition part{c.size()};
     const std::uint64_t n = 40;
@@ -240,7 +240,7 @@ TEST(Delegates, SelectionAgreesAcrossRanks) {
 }
 
 TEST(Delegates, SelectionRejectsBadArguments) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     ygm::core::comm_world world(c, 1, ygm::routing::scheme_kind::no_route);
     const round_robin_partition part{c.size()};
     EXPECT_THROW(

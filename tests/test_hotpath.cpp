@@ -26,7 +26,7 @@
 #include "core/invariants.hpp"
 #include "core/packet.hpp"
 #include "core/ygm.hpp"
-#include "mpisim/chaos.hpp"
+#include "mpisim/types.hpp"
 #include "ser/serialize.hpp"
 
 // ------------------------------------------------- counting operator new
@@ -243,7 +243,7 @@ TEST(BufferPool, ByteBudgetCapsRetention) {
 std::uint64_t steady_state_allocs(int msgs) {
   std::uint64_t allocs = 0;
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(
@@ -313,7 +313,7 @@ std::vector<std::string> pooled_trial(std::uint64_t seed) {
   t.chaos = sim::chaos_config::heavy(seed);
 
   std::vector<std::string> all;
-  sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+  ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     const auto gathered = c.gather(local, 0);
     if (c.rank() == 0) {

@@ -50,7 +50,7 @@ TEST(Pipeline, FullDelegatePipelineOnRmat) {
   }
   const auto oracle = ygm::apps::connected_components_reference(n, all);
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     const ygm::graph::rmat_generator gen(scale, m, params, 99, c.rank(),
                                          c.size());
@@ -107,7 +107,7 @@ TEST(Pipeline, ThreeWaySpmvAgreement) {
   for (std::uint64_t i = 0; i < n; ++i) x[i] = 0.25 * static_cast<double>(i % 11) - 1;
   const auto ref = ygm::linalg::spmv_reference(n, all, x);
 
-  sim::run(ranks, [&](sim::comm& c) {
+  ygm::launch({.nranks = ranks}, [&](sim::comm& c) {
     comm_world world(c, 4, scheme_kind::node_remote);
     const ygm::graph::round_robin_partition part{c.size()};
     const ygm::graph::rmat_generator gen(9, nnz, params, 5, c.rank(),
@@ -168,7 +168,7 @@ TEST(Pipeline, MailboxBfsMatchesReference) {
   const vertex_id root = all.front().src;
   const auto oracle = ygm::apps::bfs_reference(n, all, root);
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::vector<edge> mine;
     for (std::size_t i = 0; i < all.size(); ++i) {
@@ -194,7 +194,7 @@ TEST(Pipeline, CountingSetReproducesDegreeCount) {
   const topology topo(2, 2);
   const vertex_id n = 100;
   const std::uint64_t m = 1200;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     const ygm::graph::erdos_renyi_generator gen(n, m, 8, c.rank(), c.size());
 
@@ -231,20 +231,19 @@ TEST(Pipeline, CountingSetReproducesDegreeCount) {
 TEST(FailureInjection, CallbackExceptionAbortsCleanly) {
   const topology topo(2, 2);
   EXPECT_THROW(
-      sim::run(topo.num_ranks(),
-               [&](sim::comm& c) {
-                 comm_world world(c, topo, scheme_kind::node_remote);
-                 ygm::core::mailbox<int> mb(
-                     world, [&](const int& v) {
-                       if (v == 13 && c.rank() == 1) {
-                         throw std::runtime_error("poison message");
-                       }
-                     });
-                 for (int d = 0; d < c.size(); ++d) {
-                   if (d != c.rank()) mb.send(d, 13);
-                 }
-                 mb.wait_empty();
-               }),
+      ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
+        comm_world world(c, topo, scheme_kind::node_remote);
+        ygm::core::mailbox<int> mb(
+            world, [&](const int& v) {
+              if (v == 13 && c.rank() == 1) {
+                throw std::runtime_error("poison message");
+              }
+            });
+        for (int d = 0; d < c.size(); ++d) {
+          if (d != c.rank()) mb.send(d, 13);
+        }
+        mb.wait_empty();
+      }),
       std::runtime_error);
 }
 
@@ -253,23 +252,22 @@ TEST(FailureInjection, CallbackExceptionAbortsCleanly) {
 TEST(FailureInjection, CorruptPacketIsRejected) {
   const topology topo(1, 2);
   EXPECT_THROW(
-      sim::run(topo.num_ranks(),
-               [&](sim::comm& c) {
-                 comm_world world(c, topo, scheme_kind::no_route);
-                 ygm::core::mailbox<std::string> mb(world,
-                                                    [](const std::string&) {});
-                 if (c.rank() == 0) {
-                   // Forge a packet: header varint claims a huge payload.
-                   std::vector<std::byte> evil;
-                   ygm::ser::varint_encode((1ULL << 1), evil);    // addr 1, p2p
-                   ygm::ser::varint_encode(1ULL << 40, evil);     // len lie
-                   c.send_bytes(1, 1 << 20, std::move(evil));     // data tag
-                 }
-                 // Sends are eager, so after the barrier the forged packet
-                 // is already queued at rank 1 and its first poll hits it.
-                 c.barrier();
-                 mb.wait_empty();
-               }),
+      ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
+        comm_world world(c, topo, scheme_kind::no_route);
+        ygm::core::mailbox<std::string> mb(world,
+                                           [](const std::string&) {});
+        if (c.rank() == 0) {
+          // Forge a packet: header varint claims a huge payload.
+          std::vector<std::byte> evil;
+          ygm::ser::varint_encode((1ULL << 1), evil);    // addr 1, p2p
+          ygm::ser::varint_encode(1ULL << 40, evil);     // len lie
+          c.send_bytes(1, 1 << 20, std::move(evil));     // data tag
+        }
+        // Sends are eager, so after the barrier the forged packet
+        // is already queued at rank 1 and its first poll hits it.
+        c.barrier();
+        mb.wait_empty();
+      }),
       ygm::error);
 }
 

@@ -33,7 +33,7 @@ void expect_kcore_matches_oracle(const topology& topo, scheme_kind kind,
                                  const std::vector<edge>& all, vertex_id n,
                                  std::uint64_t k) {
   const auto oracle = ygm::apps::k_core_reference(n, all, k);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     const ygm::apps::local_adjacency adj(
         world, slice(all, c.rank(), c.size()), n, /*weighted=*/false);
@@ -61,7 +61,7 @@ TEST(KCore, CliquePlusTailPeelsTheTail) {
                               4);
 
   // Direct check of the survivor count too.
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     const ygm::apps::local_adjacency adj(world, slice(g, c.rank(), 4), 12,
                                          false);
@@ -72,7 +72,7 @@ TEST(KCore, CliquePlusTailPeelsTheTail) {
 
 TEST(KCore, EntireGraphSurvivesAtKZero) {
   std::vector<edge> g{{0, 1}, {2, 3}};
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::nlnr);
     const ygm::apps::local_adjacency adj(world, slice(g, c.rank(), 4), 6,
                                          false);
@@ -85,7 +85,7 @@ TEST(KCore, EntireGraphSurvivesAtKZero) {
 TEST(KCore, EverythingPeelsWhenKExceedsMaxDegree) {
   std::vector<edge> g;
   for (vertex_id v = 0; v + 1 < 16; ++v) g.push_back({v, v + 1});
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_local);
     const ygm::apps::local_adjacency adj(world, slice(g, c.rank(), 4), 16,
                                          false);
@@ -131,14 +131,14 @@ INSTANTIATE_TEST_SUITE_P(
 // -------------------------------------------------------------- scan/exscan
 
 TEST(Scan, InclusiveScanAccumulatesPrefixes) {
-  sim::run(7, [](sim::comm& c) {
+  ygm::launch({.nranks = 7}, [](sim::comm& c) {
     const int got = c.scan(c.rank() + 1, sim::op_sum{});
     EXPECT_EQ(got, (c.rank() + 1) * (c.rank() + 2) / 2);
   });
 }
 
 TEST(Scan, ExclusiveScanShiftsByOne) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     const int got = c.exscan(c.rank() + 1, sim::op_sum{});
     EXPECT_EQ(got, c.rank() * (c.rank() + 1) / 2);  // rank 0 gets identity 0
   });
@@ -147,7 +147,7 @@ TEST(Scan, ExclusiveScanShiftsByOne) {
 TEST(Scan, ExscanComputesPartitionOffsets) {
   // The canonical use: each rank owns a variable count; exscan yields its
   // global starting offset.
-  sim::run(5, [](sim::comm& c) {
+  ygm::launch({.nranks = 5}, [](sim::comm& c) {
     const std::uint64_t mine = 10 + 3 * static_cast<std::uint64_t>(c.rank());
     const auto offset = c.exscan(mine, sim::op_sum{});
     std::uint64_t expect = 0;
@@ -162,7 +162,7 @@ TEST(Scan, ExscanComputesPartitionOffsets) {
 }
 
 TEST(Scan, WorksWithNonCommutativeOp) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     const auto got = c.scan(std::string(1, static_cast<char>('a' + c.rank())),
                             [](const std::string& x, const std::string& y) {
                               return x + y;
@@ -173,7 +173,7 @@ TEST(Scan, WorksWithNonCommutativeOp) {
 }
 
 TEST(Scan, SingleRankIsIdentityPassthrough) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     EXPECT_EQ(c.scan(42, sim::op_sum{}), 42);
     EXPECT_EQ(c.exscan(42, sim::op_sum{}, -1), -1);
   });

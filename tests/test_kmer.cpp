@@ -93,7 +93,7 @@ TEST(Kmer, CountsMatchSerialOracle) {
   std::uint64_t oracle_total = 0;
   for (const auto& [kmer, count] : oracle) oracle_total += count;
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     const auto res = count_kmers(
         world, reads_by_rank[static_cast<std::size_t>(c.rank())], k, 1);
@@ -106,7 +106,7 @@ TEST(Kmer, PlantedMotifIsFoundFrequent) {
   const topology topo(2, 2);
   const std::string motif = "ACGTACGTTTAGGCCAGGTAC";
   const int k = 15;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     const auto reads =
         synthetic_reads(c.rank(), 100, 90, 123, motif, /*plant_every=*/4);
@@ -130,7 +130,7 @@ TEST(Kmer, PlantedMotifIsFoundFrequent) {
 TEST(Kmer, JunkBasesBreakTheWindow) {
   // A read of length 2k-1 with an N in the middle yields no valid k-mer.
   const topology topo(1, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::no_route);
     const int k = 5;
     std::vector<std::string> reads;
@@ -144,7 +144,7 @@ TEST(Kmer, JunkBasesBreakTheWindow) {
 }
 
 TEST(Kmer, RejectsOutOfRangeK) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     EXPECT_THROW(count_kmers(world, {}, 0, 1), ygm::error);
     EXPECT_THROW(count_kmers(world, {}, 32, 1), ygm::error);

@@ -120,7 +120,7 @@ TEST_P(CombBlasGrids, MatchesReferenceOnRandomMatrix) {
   const std::uint64_t n = 40;
   const std::uint64_t nnz = 300;
 
-  sim::run(nranks, [&](sim::comm& c) {
+  ygm::launch({.nranks = nranks}, [&](sim::comm& c) {
     // Each rank contributes a slice of the triplets (construction routes
     // them to their 2D owners).
     const auto all = random_triplets(n, nnz, 77);
@@ -162,13 +162,13 @@ INSTANTIATE_TEST_SUITE_P(SquareGrids, CombBlasGrids,
                          ::testing::Values(1, 4, 9, 16));
 
 TEST(CombBlas, RejectsNonSquareWorld) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     EXPECT_THROW(combblas_lite(c, 10, {}), ygm::error);
   });
 }
 
 TEST(CombBlas, RepeatedMultipliesAreConsistent) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     const std::uint64_t n = 16;
     const auto all = random_triplets(n, 80, 3);
     std::vector<triplet> mine = c.rank() == 0 ? all : std::vector<triplet>{};

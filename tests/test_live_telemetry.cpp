@@ -180,7 +180,7 @@ TEST(LiveSketch, PercentilesAgreeWithOfflineTraceWithinOneBucket) {
 
   constexpr int kRanks = 4;
   constexpr int kMsgs = 50;
-  sim::run(kRanks, [&](sim::comm& c) {
+  ygm::launch({.nranks = kRanks}, [&](sim::comm& c) {
     comm_world world(c, topology(2, 2), scheme_kind::node_remote);
     std::uint64_t received = 0;
     mailbox<probe_payload> mb(

@@ -58,7 +58,7 @@ class MailboxMachines : public ::testing::TestWithParam<machine_case> {};
 TEST_P(MailboxMachines, RandomTrafficDeliversExactlyOnce) {
   const auto& mc = GetParam();
   const topology topo(mc.nodes, mc.cores);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, mc.kind);
 
     std::uint64_t recv_count = 0;
@@ -95,7 +95,7 @@ TEST_P(MailboxMachines, RandomTrafficDeliversExactlyOnce) {
 TEST_P(MailboxMachines, BroadcastReachesEveryOtherRankOnce) {
   const auto& mc = GetParam();
   const topology topo(mc.nodes, mc.cores);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, mc.kind);
 
     std::vector<int> copies_from(static_cast<std::size_t>(c.size()), 0);
@@ -130,7 +130,7 @@ TEST_P(MailboxMachines, CallbackSpawnedCascadesTerminate) {
     std::uint32_t ttl = 0;
     std::uint64_t seed = 0;
   };
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, mc.kind);
     std::uint64_t deliveries = 0;
     mailbox<hop_msg>* mbp = nullptr;
@@ -309,7 +309,7 @@ INSTANTIATE_TEST_SUITE_P(Machines, HybridMachines,
 // ------------------------------------------------------- focused behaviour
 
 TEST(Mailbox, SelfSendDeliversImmediately) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     int got = 0;
     mailbox<int> mb(world, [&](const int& v) { got = v; });
@@ -322,7 +322,7 @@ TEST(Mailbox, SelfSendDeliversImmediately) {
 
 TEST(Mailbox, VariableLengthMessagesSurviveRouting) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::map<std::string, std::vector<std::uint64_t>> received;
     using msg = std::pair<std::string, std::vector<std::uint64_t>>;
@@ -352,7 +352,7 @@ TEST(Mailbox, VariableLengthMessagesSurviveRouting) {
 
 TEST(Mailbox, CapacityTriggersExchangesBeforeTermination) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::atomic<int> got{0};
     // Capacity of ~3 records: the 100-message stream must flush many times.
@@ -367,7 +367,7 @@ TEST(Mailbox, CapacityTriggersExchangesBeforeTermination) {
 
 TEST(Mailbox, StatsAccountForRoutedTraffic) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, 256);
     // (n,0) -> other node, core 1: one local hop plus one remote hop.
@@ -398,7 +398,7 @@ TEST(Mailbox, AvgRemotePacketSizeGrowsWithRouting) {
   const topology topo(4, 4);
   const auto avg_remote_packet = [&](scheme_kind kind) {
     double result = 0;
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
       comm_world world(c, topo, kind);
       mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, 4096);
       ygm::xoshiro256 rng(5 + static_cast<std::uint64_t>(c.rank()));
@@ -423,7 +423,7 @@ TEST(Mailbox, AvgRemotePacketSizeGrowsWithRouting) {
 
 TEST(Mailbox, MultipleMailboxesShareOneWorld) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     std::uint64_t sum_a = 0;
     int count_b = 0;
@@ -443,7 +443,7 @@ TEST(Mailbox, MultipleMailboxesShareOneWorld) {
 }
 
 TEST(Mailbox, RejectsInvalidConstruction) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     EXPECT_THROW(mailbox<int>(world, nullptr), ygm::error);
     EXPECT_THROW(mailbox<int>(world, [](const int&) {}, 0), ygm::error);
@@ -451,7 +451,7 @@ TEST(Mailbox, RejectsInvalidConstruction) {
 }
 
 TEST(Mailbox, RejectsOutOfRangeDestination) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     mailbox<int> mb(world, [](const int&) {});
     EXPECT_THROW(mb.send(-1, 0), ygm::error);
@@ -461,7 +461,7 @@ TEST(Mailbox, RejectsOutOfRangeDestination) {
 }
 
 TEST(CommWorld, ValidatesTopologyAgainstCommSize) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     EXPECT_THROW(comm_world(c, topology(2, 4), scheme_kind::no_route),
                  ygm::error);
     EXPECT_THROW(comm_world(c, 3, scheme_kind::no_route), ygm::error);
@@ -482,7 +482,7 @@ TEST(MailboxStress, SixtyFourRankWorldDeliversUnderAllSchemes) {
   // receiving gateway) active at once.
   const topology topo(8, 8);
   for (const auto kind : ygm::routing::all_schemes) {
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
+    ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
       comm_world world(c, topo, kind);
       std::uint64_t got = 0;
       mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; },
@@ -514,7 +514,7 @@ TEST(Mailbox, TimedArrivalStampCountsTowardCapacity) {
   // arrival stamp. The stamp is part of what gets sent, so it must count
   // toward queued_bytes_: with capacity equal to stamp + one record, a
   // single send fills the buffer exactly and must trigger a flush.
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::no_route);
     world.attach_virtual_network(ygm::net::network_params::quartz_like());
     const std::size_t one_record =
@@ -533,7 +533,7 @@ TEST(Mailbox, ReentrantPollFromCallbackIsANoOp) {
   // HavoqGT work-queue pattern) must not recursively re-enter the incoming
   // drain: with many packets queued that recursion nests once per packet
   // and clobbers the forwarding scratch buffer. Reentrant calls are no-ops.
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     mailbox<std::uint64_t>* mbp = nullptr;
     int depth = 0;

@@ -28,7 +28,7 @@ using ygm::routing::topology;
 mailbox_stats run_uniform(const topology& topo, scheme_kind kind, int msgs,
                           std::size_t capacity) {
   mailbox_stats agg;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, capacity);
     ygm::xoshiro256 rng(5 + static_cast<std::uint64_t>(c.rank()));
@@ -100,7 +100,7 @@ TEST_P(ModelValidation, BroadcastFlowsMatchEvaluator) {
   const std::size_t capacity = 2048;
 
   mailbox_stats agg;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, capacity);
     for (int i = 0; i < bcasts; ++i) {

@@ -1,4 +1,5 @@
-// Unit, integration, and stress tests for the mpisim runtime (mpisim/).
+// Unit, integration, and stress tests for the mpisim communicator (mpisim/)
+// on ranks started by ygm::launch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "mpisim/runtime.hpp"
+#include "core/launch.hpp"
 
 namespace {
 
@@ -18,7 +19,7 @@ namespace sim = ygm::mpisim;
 TEST(Runtime, RunsEveryRankExactlyOnce) {
   std::atomic<int> count{0};
   std::atomic<std::uint64_t> rank_mask{0};
-  sim::run(8, [&](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [&](sim::comm& c) {
     count.fetch_add(1);
     rank_mask.fetch_or(1ULL << c.rank());
     EXPECT_EQ(c.size(), 8);
@@ -28,7 +29,7 @@ TEST(Runtime, RunsEveryRankExactlyOnce) {
 }
 
 TEST(Runtime, SingleRankWorldWorks) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     EXPECT_EQ(c.rank(), 0);
     EXPECT_EQ(c.size(), 1);
     c.barrier();
@@ -40,26 +41,26 @@ TEST(Runtime, SingleRankWorldWorks) {
 }
 
 TEST(Runtime, PropagatesRankExceptionsWithoutDeadlock) {
-  EXPECT_THROW(sim::run(4,
-                        [](sim::comm& c) {
-                          if (c.rank() == 2) {
-                            throw std::runtime_error("rank 2 failed");
-                          }
-                          // Other ranks block forever; the abort must wake
-                          // them.
-                          (void)c.recv_bytes(sim::any_source, 0);
-                        }),
+  EXPECT_THROW(ygm::launch({.nranks = 4},
+                           [](sim::comm& c) {
+                             if (c.rank() == 2) {
+                               throw std::runtime_error("rank 2 failed");
+                             }
+                             // Other ranks block forever; the abort must
+                             // wake them.
+                             (void)c.recv_bytes(sim::any_source, 0);
+                           }),
                std::runtime_error);
 }
 
 TEST(Runtime, RejectsNonPositiveRankCount) {
-  EXPECT_THROW(sim::run(0, [](sim::comm&) {}), ygm::error);
+  EXPECT_THROW(ygm::launch({.nranks = 0}, [](sim::comm&) {}), ygm::error);
 }
 
 // --------------------------------------------------------- point-to-point
 
 TEST(PointToPoint, SendRecvRoundTrip) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       c.send(std::string("ping"), 1, 7);
       EXPECT_EQ(c.recv<std::string>(1, 8), "pong");
@@ -71,14 +72,14 @@ TEST(PointToPoint, SendRecvRoundTrip) {
 }
 
 TEST(PointToPoint, SelfSendIsDeliverable) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     c.send(42, 0, 3);
     EXPECT_EQ(c.recv<int>(0, 3), 42);
   });
 }
 
 TEST(PointToPoint, PreservesOrderPerSenderAndTag) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     constexpr int kCount = 500;
     if (c.rank() == 0) {
       for (int i = 0; i < kCount; ++i) c.send(i, 1, 1);
@@ -91,7 +92,7 @@ TEST(PointToPoint, PreservesOrderPerSenderAndTag) {
 }
 
 TEST(PointToPoint, TagMatchingSelectsAcrossArrivalOrder) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       c.send(1, 1, 10);
       c.send(2, 1, 20);
@@ -106,7 +107,7 @@ TEST(PointToPoint, TagMatchingSelectsAcrossArrivalOrder) {
 }
 
 TEST(PointToPoint, AnySourceReceivesFromEveryone) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     if (c.rank() == 0) {
       std::vector<bool> seen(static_cast<std::size_t>(c.size()), false);
       for (int i = 1; i < c.size(); ++i) {
@@ -123,7 +124,7 @@ TEST(PointToPoint, AnySourceReceivesFromEveryone) {
 }
 
 TEST(PointToPoint, AnyTagReportsActualTag) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       c.send(std::string("x"), 1, 17);
     } else {
@@ -136,7 +137,7 @@ TEST(PointToPoint, AnyTagReportsActualTag) {
 }
 
 TEST(PointToPoint, StatusReportsByteCount) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       c.send_bytes(1, 2, std::vector<std::byte>(123));
     } else {
@@ -149,7 +150,7 @@ TEST(PointToPoint, StatusReportsByteCount) {
 }
 
 TEST(PointToPoint, ProbeDoesNotConsume) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       c.send(7, 1, 4);
     } else {
@@ -165,14 +166,14 @@ TEST(PointToPoint, ProbeDoesNotConsume) {
 }
 
 TEST(PointToPoint, IprobeReturnsNulloptWhenEmpty) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     EXPECT_FALSE(c.iprobe(sim::any_source, 999).has_value());
     c.barrier();
   });
 }
 
 TEST(PointToPoint, RejectsOutOfRangeTag) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     EXPECT_THROW(c.send(1, 0, -5), ygm::error);
     EXPECT_THROW(c.send(1, 0, sim::tag_ub + 1), ygm::error);
   });
@@ -181,7 +182,7 @@ TEST(PointToPoint, RejectsOutOfRangeTag) {
 // ------------------------------------------------------------ nonblocking
 
 TEST(Nonblocking, IsendCompletesImmediately) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       auto req = c.isend(11, 1, 0);
       EXPECT_TRUE(req.test());
@@ -193,7 +194,7 @@ TEST(Nonblocking, IsendCompletesImmediately) {
 }
 
 TEST(Nonblocking, IrecvCompletesWhenMessageArrives) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 1) {
       int out = 0;
       auto req = c.irecv(out, 0, 6);
@@ -208,7 +209,7 @@ TEST(Nonblocking, IrecvCompletesWhenMessageArrives) {
 }
 
 TEST(Nonblocking, WaitAllDrainsMixedRequests) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     std::vector<int> out(static_cast<std::size_t>(c.size()), -1);
     std::vector<sim::request> reqs;
     for (int r = 0; r < c.size(); ++r) {
@@ -231,7 +232,7 @@ TEST(Collectives, BarrierSynchronizes) {
   // Each rank increments before the barrier; after it, all increments must
   // be visible.
   std::atomic<int> before{0};
-  sim::run(8, [&](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [&](sim::comm& c) {
     before.fetch_add(1);
     c.barrier();
     EXPECT_EQ(before.load(), 8);
@@ -239,7 +240,7 @@ TEST(Collectives, BarrierSynchronizes) {
 }
 
 TEST(Collectives, BcastFromEveryRoot) {
-  sim::run(5, [](sim::comm& c) {
+  ygm::launch({.nranks = 5}, [](sim::comm& c) {
     for (int root = 0; root < c.size(); ++root) {
       std::string v = c.rank() == root ? "payload" + std::to_string(root) : "";
       c.bcast(v, root);
@@ -249,7 +250,7 @@ TEST(Collectives, BcastFromEveryRoot) {
 }
 
 TEST(Collectives, ReduceSumsAtRoot) {
-  sim::run(7, [](sim::comm& c) {
+  ygm::launch({.nranks = 7}, [](sim::comm& c) {
     const int total = c.reduce(c.rank() + 1, sim::op_sum{}, 3);
     if (c.rank() == 3) {
       EXPECT_EQ(total, 7 * 8 / 2);
@@ -258,7 +259,7 @@ TEST(Collectives, ReduceSumsAtRoot) {
 }
 
 TEST(Collectives, AllreduceAgreesEverywhere) {
-  sim::run(6, [](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [](sim::comm& c) {
     EXPECT_EQ(c.allreduce(c.rank(), sim::op_max{}), c.size() - 1);
     EXPECT_EQ(c.allreduce(c.rank(), sim::op_min{}), 0);
     EXPECT_EQ(c.allreduce(1ULL << c.rank(), sim::op_bor{}), 0x3fULL);
@@ -266,7 +267,7 @@ TEST(Collectives, AllreduceAgreesEverywhere) {
 }
 
 TEST(Collectives, AllreduceVecIsElementwise) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     std::vector<int> v{c.rank(), 10 * c.rank(), 1};
     const auto r = c.allreduce_vec(v, sim::op_sum{});
     EXPECT_EQ(r, (std::vector<int>{6, 60, 4}));
@@ -274,7 +275,7 @@ TEST(Collectives, AllreduceVecIsElementwise) {
 }
 
 TEST(Collectives, GatherOrdersByRank) {
-  sim::run(5, [](sim::comm& c) {
+  ygm::launch({.nranks = 5}, [](sim::comm& c) {
     const auto got = c.gather(std::string(1, static_cast<char>('a' + c.rank())),
                               2);
     if (c.rank() == 2) {
@@ -288,14 +289,14 @@ TEST(Collectives, GatherOrdersByRank) {
 }
 
 TEST(Collectives, AllgatherAgreesEverywhere) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     const auto got = c.allgather(c.rank() * c.rank());
     EXPECT_EQ(got, (std::vector<int>{0, 1, 4, 9}));
   });
 }
 
 TEST(Collectives, ScatterDeliversPerRankPieces) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     std::vector<std::vector<int>> bufs;
     if (c.rank() == 1) {
       for (int r = 0; r < 4; ++r) bufs.push_back({r, r + 10});
@@ -306,7 +307,7 @@ TEST(Collectives, ScatterDeliversPerRankPieces) {
 }
 
 TEST(Collectives, AlltoallvExchangesPersonalizedData) {
-  sim::run(5, [](sim::comm& c) {
+  ygm::launch({.nranks = 5}, [](sim::comm& c) {
     std::vector<std::vector<int>> send(static_cast<std::size_t>(c.size()));
     for (int d = 0; d < c.size(); ++d) {
       // rank r sends d copies of (r*100 + d) to rank d.
@@ -324,7 +325,7 @@ TEST(Collectives, AlltoallvExchangesPersonalizedData) {
 }
 
 TEST(Collectives, WtimeAdvancesMonotonically) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     const double t0 = c.wtime();
     c.barrier();
     const double t1 = c.wtime();
@@ -335,7 +336,7 @@ TEST(Collectives, WtimeAdvancesMonotonically) {
 // ----------------------------------------------------------- communicators
 
 TEST(Communicators, SplitByParityFormsTwoGroups) {
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     auto sub = c.split(c.rank() % 2, c.rank());
     EXPECT_EQ(sub.size(), 4);
     EXPECT_EQ(sub.rank(), c.rank() / 2);
@@ -346,7 +347,7 @@ TEST(Communicators, SplitByParityFormsTwoGroups) {
 }
 
 TEST(Communicators, SplitKeyControlsOrdering) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     // Reverse the ordering: highest parent rank gets rank 0.
     auto sub = c.split(0, -c.rank());
     EXPECT_EQ(sub.rank(), c.size() - 1 - c.rank());
@@ -354,7 +355,7 @@ TEST(Communicators, SplitKeyControlsOrdering) {
 }
 
 TEST(Communicators, SubCommTrafficDoesNotLeakAcrossComms) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     auto sub = c.split(c.rank() % 2, 0);
     // Same tag on both communicators; messages must stay segregated.
     const int peer_sub = 1 - sub.rank();
@@ -371,7 +372,7 @@ TEST(Communicators, SubCommTrafficDoesNotLeakAcrossComms) {
 
 TEST(Communicators, GridSplitSupportsRowAndColumnComms) {
   // The 2D decomposition pattern CombBLAS-lite uses.
-  sim::run(9, [](sim::comm& c) {
+  ygm::launch({.nranks = 9}, [](sim::comm& c) {
     const int row = c.rank() / 3;
     const int col = c.rank() % 3;
     auto row_comm = c.split(row, col);
@@ -386,7 +387,7 @@ TEST(Communicators, GridSplitSupportsRowAndColumnComms) {
 }
 
 TEST(Communicators, DupIsolatesTraffic) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     auto d = c.dup();
     const int peer = 1 - c.rank();
     c.send(1, peer, 0);
@@ -404,7 +405,7 @@ TEST_P(MpisimStress, RandomizedTrafficIsDeliveredExactly) {
   const int nranks = GetParam();
   // Each rank sends a random number of tagged messages to random peers,
   // then totals are reconciled with an allreduce and received exactly.
-  sim::run(nranks, [&](sim::comm& c) {
+  ygm::launch({.nranks = nranks}, [&](sim::comm& c) {
     ygm::xoshiro256 rng(1000 + static_cast<std::uint64_t>(c.rank()));
     const int sends = 50 + static_cast<int>(rng.below(100));
     std::vector<std::uint64_t> sent_to(static_cast<std::size_t>(c.size()), 0);
@@ -437,7 +438,7 @@ INSTANTIATE_TEST_SUITE_P(WorldSizes, MpisimStress,
 // (appended) request/comm edge cases and large payloads
 
 TEST(Nonblocking, TestAllMakesProgressIncrementally) {
-  sim::run(3, [](sim::comm& c) {
+  ygm::launch({.nranks = 3}, [](sim::comm& c) {
     if (c.rank() == 0) {
       int a = 0, b = 0;
       std::vector<sim::request> reqs;
@@ -459,7 +460,7 @@ TEST(Nonblocking, TestAllMakesProgressIncrementally) {
 }
 
 TEST(PointToPoint, MegabytePayloadsSurvive) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     const std::size_t n = 4 << 20;
     if (c.rank() == 0) {
       std::vector<std::uint8_t> big(n);
@@ -479,7 +480,7 @@ TEST(PointToPoint, MegabytePayloadsSurvive) {
 
 TEST(Communicators, NestedSplitsCompose) {
   // Split a split: 8 -> two halves -> quarters; traffic stays scoped.
-  sim::run(8, [](sim::comm& c) {
+  ygm::launch({.nranks = 8}, [](sim::comm& c) {
     auto half = c.split(c.rank() / 4, c.rank());
     auto quarter = half.split(half.rank() / 2, half.rank());
     EXPECT_EQ(half.size(), 4);
@@ -496,7 +497,7 @@ TEST(Communicators, NestedSplitsCompose) {
 
 TEST(Collectives, ManyBackToBackCollectivesKeepSequencing) {
   // Hammer the collective tag sequencing (seq wraps packed into tags).
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     for (int i = 0; i < 300; ++i) {
       int v = c.rank() == i % 4 ? i : -1;
       c.bcast(v, i % 4);
@@ -507,7 +508,7 @@ TEST(Collectives, ManyBackToBackCollectivesKeepSequencing) {
 }
 
 TEST(PointToPoint, PendingMessagesCountsQueuedTraffic) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     if (c.rank() == 0) {
       for (int i = 0; i < 5; ++i) c.send(i, 1, 3);
       c.barrier();

@@ -5,7 +5,8 @@
 // engine steal/pause/resume semantics, exception propagation from
 // engine-executed callbacks, teardown with traffic still in flight, the
 // reentrancy/engine-race exchange claim, and a ledger-verified chaos sweep
-// across {inproc, socket} x {engine, polling}.
+// across {inproc, socket} x {engine, polling}. The precedence tests run on
+// every backend, since each forked rank process starts its own engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -167,32 +168,49 @@ TEST(MpscRing, MultiProducerExactlyOnce) {
 
 // ------------------------------------------------- launch + precedence
 
-TEST(Launch, FieldBeatsEnvBeatsDefault) {
+/// Per rank, whether its process runs a progress engine. Collected through
+/// launch_collect so forked ranks answer from their own process.
+std::vector<bool> engines_running(const ygm::run_options& o) {
+  std::vector<bool> running;
+  for (const auto& blob :
+       ygm::launch_collect(o, [](sim::comm&) {
+         return ygm::ser::to_bytes(ygm::progress::current() != nullptr);
+       })) {
+    running.push_back(ygm::ser::from_bytes<bool>({blob.data(), blob.size()}));
+  }
+  return running;
+}
+
+class LaunchOn
+    : public ::testing::TestWithParam<ygm::transport::backend_kind> {};
+
+TEST_P(LaunchOn, FieldBeatsEnvBeatsDefault) {
   // Env says engine, field says polling: the field must win.
   scoped_env env("YGM_PROGRESS", "engine");
-  ygm::run_options o;
-  o.nranks = 2;
-  o.progress_mode = ygm::progress::mode::polling;
-  ygm::launch(o, [](sim::comm&) {
-    EXPECT_EQ(ygm::progress::current(), nullptr);
-  });
+  EXPECT_EQ(engines_running({.nranks = 2,
+                             .backend = GetParam(),
+                             .progress_mode = ygm::progress::mode::polling}),
+            std::vector<bool>(2, false));
 
   // No field: the env decides.
-  ygm::run_options o2;
-  o2.nranks = 2;
-  ygm::launch(o2, [](sim::comm&) {
-    EXPECT_NE(ygm::progress::current(), nullptr);
-  });
+  EXPECT_EQ(engines_running({.nranks = 2, .backend = GetParam()}),
+            std::vector<bool>(2, true));
 }
 
-TEST(Launch, DefaultIsPolling) {
+TEST_P(LaunchOn, DefaultIsPolling) {
   scoped_env env("YGM_PROGRESS", "");
-  ygm::run_options o;
-  o.nranks = 2;
-  ygm::launch(o, [](sim::comm&) {
-    EXPECT_EQ(ygm::progress::current(), nullptr);
-  });
+  EXPECT_EQ(engines_running({.nranks = 2, .backend = GetParam()}),
+            std::vector<bool>(2, false));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, LaunchOn,
+    ::testing::Values(ygm::transport::backend_kind::inproc,
+                      ygm::transport::backend_kind::socket,
+                      ygm::transport::backend_kind::shm),
+    [](const auto& info) {
+      return std::string(ygm::transport::to_string(info.param));
+    });
 
 TEST(Launch, CollectRoundTrips) {
   ygm::run_options o;
@@ -210,18 +228,6 @@ TEST(Launch, CollectRoundTrips) {
          blobs[static_cast<std::size_t>(r)].size()});
     EXPECT_EQ(v, std::uint64_t(r) * 10);
   }
-}
-
-// The deprecated mpisim::run overloads must keep working unchanged (the
-// whole existing suite exercises them; this pins the equivalence with the
-// new entry point in one place).
-TEST(Launch, DeprecatedRunWrapperStillWorks) {
-  std::atomic<int> calls{0};
-  sim::run(2, [&](sim::comm& c) {
-    EXPECT_EQ(ygm::progress::current(), nullptr);  // run() never starts one
-    calls.fetch_add(1 + c.rank() * 0);
-  });
-  EXPECT_EQ(calls.load(), 2);
 }
 
 // ------------------------------------------------------ engine mechanics
@@ -351,6 +357,29 @@ TEST(ProgressEngine, EngineExecutedCallbackExceptionSurfacesOnRank) {
   }
 }
 
+// A verdict the engine latched for a parked rank ends exactly that
+// wait_empty(). Were the engine to keep polling the detector, the rank
+// would start its next epoch a round ahead of its peers, and its next
+// wait_empty() would wait for a round nobody else joins.
+TEST(ProgressEngine, ConsecutiveWaitEmptyEpochsStayInStep) {
+  ygm::launch(
+      {.nranks = 4, .progress_mode = ygm::progress::mode::engine},
+      [](sim::comm& c) {
+        comm_world world(c, topology(2, 2), scheme_kind::node_remote);
+        mailbox<int> mb(world, [](const int&) {});
+        for (int epoch = 1; epoch <= 20; ++epoch) {
+          mb.wait_empty();
+          mb.wait_empty();  // already quiescent: returns at once
+          for (int d = 0; d < c.size(); ++d) {
+            if (d != c.rank()) mb.send(d, epoch);
+          }
+          mb.wait_empty();
+          EXPECT_EQ(mb.stats().deliveries,
+                    static_cast<std::uint64_t>(epoch * (c.size() - 1)));
+        }
+      });
+}
+
 TEST(ProgressEngine, TeardownWithTrafficInFlight) {
   // Destroy mailboxes with messages still undelivered while the engine is
   // live: remove_pump must wait out any steal in flight, never crash or
@@ -444,7 +473,7 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
 // exchange + RAII release) fixes both; poll()'s lock-free early-out is why
 // the flag must stay a std::atomic.
 TEST(ExchangeClaim, ThrowingCallbackDoesNotWedgeTheMailbox) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     topology topo(1, 2);
     comm_world world(c, topo, scheme_kind::no_route);
     std::atomic<int> got{0};

@@ -2,16 +2,19 @@
 // transport suite cannot isolate: the SPSC byte ring (wrap-around copies,
 // full-ring backpressure, the torn-size publication guard — exercised with
 // real producer/consumer threads so TSan sees the release/acquire
-// protocol), and the launcher's orphaned-segment sweep (a rank that dies
-// before its endpoint destructor must not leak /dev/shm space).
+// protocol), the rendezvous giving up on a poisoned world, and the
+// launcher's orphaned-segment sweep (a rank that dies before its endpoint
+// destructor must not leak /dev/shm space).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -20,8 +23,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "mpisim/runtime.hpp"
-#include "transport/shm/launch.hpp"
+#include "core/launch.hpp"
 #include "transport/shm/shm_transport.hpp"
 #include "transport/shm/spsc_ring.hpp"
 
@@ -174,6 +176,61 @@ TEST(SpscRing, ThreadedProducerConsumerStress) {
   EXPECT_EQ(r.producer.in_flight(), 0u);
 }
 
+// ----------------------------------------------------------- rendezvous
+
+TEST(ShmHandshake, PoisonedSegmentEndsRendezvousWithAbortEcho) {
+  // A peer that failed after its own handshake poisons every segment it
+  // mapped and unlinks its own. Rank 0 here waits for a rank 1 segment that
+  // will never appear; once its own segment is poisoned it must give up
+  // with the abort echo the launcher discards, not wait out the 30 s
+  // rendezvous deadline and report a timeout.
+  char tmpl[] = "/tmp/ygm-shm-handshake-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string own = shm::segment_name(dir, 0);
+  const auto start = std::chrono::steady_clock::now();
+
+  std::string error;
+  std::thread rank0([&] {
+    try {
+      shm::endpoint ep(dir, 0, 2, nullptr);
+    } catch (const ygm::error& e) {
+      error = e.what();
+    }
+  });
+
+  // Map rank 0's segment once its header is initialized, then poison it.
+  const std::size_t bytes = shm::segment_bytes(2);
+  int fd = -1;
+  while ((fd = ::shm_open(own.c_str(), O_RDWR, 0600)) < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  struct stat st{};
+  while (::fstat(fd, &st) == 0 &&
+         static_cast<std::size_t>(st.st_size) < bytes) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  void* base =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ::close(fd);
+  EXPECT_NE(base, MAP_FAILED);
+  if (base != MAP_FAILED) {
+    auto* hdr = static_cast<shm::seg_header*>(base);
+    while (hdr->magic.load(std::memory_order_acquire) != shm::seg_magic) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    hdr->aborted.store(1, std::memory_order_release);
+  }
+  rank0.join();
+  const auto waited = std::chrono::steady_clock::now() - start;
+
+  EXPECT_NE(error.find("world aborted"), std::string::npos) << error;
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  if (base != MAP_FAILED) ::munmap(base, bytes);
+  (void)::shm_unlink(own.c_str());
+  ::rmdir(dir.c_str());
+}
+
 // ---------------------------------------------------- orphaned segments
 
 TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
@@ -184,13 +241,13 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
 
-  sim::run_options o;
+  ygm::run_options o;
   o.nranks = 2;
   o.backend = tp::backend_kind::shm;
   o.chaos = sim::chaos_config{};
   o.socket_dir = dir;
   try {
-    sim::run(o, [](sim::comm& c) {
+    ygm::launch(o, [](sim::comm& c) {
       // Handshake is complete (the comm exists) and both segments are
       // mapped; now die without unwinding. Both ranks exit abruptly so no
       // survivor is left waiting out its fin deadline.

@@ -119,7 +119,7 @@ TEST(Session, RegistryMergesAcrossSimulatedRanks) {
   tel::session session;
   tel::set_global(&session);
 
-  sim::run(kRanks, [&](sim::comm& c) {
+  ygm::launch({.nranks = kRanks}, [&](sim::comm& c) {
     // mpisim attached this rank thread to its lane automatically.
     auto* rec = tel::tls();
     ASSERT_NE(rec, nullptr);
@@ -152,17 +152,17 @@ TEST(Session, RegistryMergesAcrossSimulatedRanks) {
 }
 
 TEST(Session, PerWorldMetricsDoNotBleedAcrossRuns) {
-  // One session reused across consecutive mpisim::run calls: the all-worlds
+  // One session reused across consecutive ygm::launch calls: the all-worlds
   // merge mixes the runs (gauges keep the max over STALE worlds), so the
   // per-world accessors and the metrics JSON "worlds" array must keep each
   // run readable in isolation.
   tel::session session;
   tel::set_global(&session);
-  sim::run(2, [&](sim::comm&) {
+  ygm::launch({.nranks = 2}, [&](sim::comm&) {
     tel::tls()->metrics().gauge("test.queue_depth") = 100.0;
     tel::tls()->metrics().counter("test.msgs") += 7;
   });
-  sim::run(2, [&](sim::comm&) {
+  ygm::launch({.nranks = 2}, [&](sim::comm&) {
     tel::tls()->metrics().gauge("test.queue_depth") = 5.0;
     tel::tls()->metrics().counter("test.msgs") += 1;
   });
@@ -199,7 +199,7 @@ TEST(Session, MailboxAndSubstrateCountersReachTheRegistry) {
 
   tel::session session;
   tel::set_global(&session);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(
@@ -233,7 +233,7 @@ TEST(Export, BenchStyleRunProducesValidChromeTrace) {
   const topology topo(2, 2);
   tel::session session;
   tel::set_global(&session);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(
@@ -297,7 +297,7 @@ TEST(Export, SpansCoverRankWallTime) {
   const topology topo(2, 2);
   tel::session session;
   tel::set_global(&session);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(

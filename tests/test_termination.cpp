@@ -20,7 +20,7 @@ using ygm::routing::scheme_kind;
 using ygm::routing::topology;
 
 TEST(TestEmpty, SingleRankDetectsQuiescence) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     int got = 0;
     mailbox<int> mb(world, [&](const int& v) { got += v; });
@@ -35,7 +35,7 @@ TEST(TestEmpty, SingleRankDetectsQuiescence) {
 
 TEST(TestEmpty, DetectsAfterAllTrafficDelivered) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; },
@@ -59,7 +59,7 @@ TEST(TestEmpty, DoesNotFirePrematurelyWhileWorkRemains) {
   // Rank 0 delays producing its messages; test_empty must not report
   // quiescence before they are delivered.
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; });
@@ -82,7 +82,7 @@ TEST(TestEmpty, DoesNotFirePrematurelyWhileWorkRemains) {
 
 TEST(TestEmpty, RestartsAcrossCommunicationEpochs) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; });
@@ -106,7 +106,7 @@ TEST(TestEmpty, MixesWithExternalWorkQueues) {
   // The HavoqGT pattern the paper describes: an application-level work queue
   // drained between polls, with messages spawning new local work.
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::vector<std::uint64_t> work;  // external queue
     std::uint64_t processed = 0;
@@ -142,7 +142,7 @@ TEST(TestEmpty, MixesWithExternalWorkQueues) {
 
 TEST(WaitEmpty, IsIdempotentWhenAlreadyQuiescent) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     mailbox<int> mb(world, [](const int&) {});
     mb.wait_empty();
@@ -159,7 +159,7 @@ TEST(WaitEmpty, HandlesSlowRankWithHeavyInbound) {
   // One rank is slow to enter wait_empty while everyone floods it with
   // messages; the fast ranks sit in the termination loop forwarding traffic.
   const topology topo(4, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; },
@@ -186,7 +186,7 @@ TEST(WaitEmpty, HandlesSlowRankWithHeavyInbound) {
 
 TEST(Termination, StaleContributionFromLaggedRoundIsRejected) {
   using contrib = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     const int tag_base =
         world.reserve_tag_block(ygm::core::termination_detector::tags_used);
@@ -221,7 +221,7 @@ TEST(WaitEmpty, MixesWithTestEmptyAcrossRanks) {
   // if it used its own blocking collective, a world where some ranks block
   // in wait_empty while others poll test_empty would deadlock.
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(world, [&](const std::uint64_t& v) { got += v; },

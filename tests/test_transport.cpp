@@ -13,8 +13,8 @@
 
 #include "common/rng.hpp"
 #include "core/invariants.hpp"
+#include "core/launch.hpp"
 #include "core/mailbox.hpp"
-#include "mpisim/runtime.hpp"
 #include "ser/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
@@ -25,8 +25,8 @@ namespace sim = ygm::mpisim;
 namespace tp = ygm::transport;
 namespace tel = ygm::telemetry;
 
-sim::run_options on_backend(tp::backend_kind k, int nranks) {
-  sim::run_options o;
+ygm::run_options on_backend(tp::backend_kind k, int nranks) {
+  ygm::run_options o;
   o.nranks = nranks;
   o.backend = k;
   // Pin chaos off unless a test supplies its own config, so an ambient
@@ -66,7 +66,7 @@ TEST(Backend, EnvSelection) {
 // ------------------------------------------------- socket backend basics
 
 TEST(Socket, PointToPointAcrossProcesses) {
-  const auto blobs = sim::run_collect(
+  const auto blobs = ygm::launch_collect(
       on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
         // Ring: send my rank left and right, typed.
         const int p = c.size();
@@ -95,7 +95,7 @@ TEST(Socket, PointToPointAcrossProcesses) {
 }
 
 TEST(Socket, ProbeAndPending) {
-  sim::run(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
     if (c.rank() == 0) {
       for (int dest = 1; dest < c.size(); ++dest) c.send(dest * 3, dest, 5);
       c.barrier();
@@ -111,7 +111,7 @@ TEST(Socket, ProbeAndPending) {
 }
 
 TEST(Socket, CollectivesMatchInprocSemantics) {
-  sim::run(on_backend(tp::backend_kind::socket, 5), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::socket, 5), [](sim::comm& c) {
     const int p = c.size();
     c.barrier();
 
@@ -148,7 +148,7 @@ TEST(Socket, CollectivesMatchInprocSemantics) {
 }
 
 TEST(Socket, SplitAndDup) {
-  sim::run(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
     auto half = c.split(c.rank() % 2, c.rank());
     EXPECT_EQ(half.size(), 2);
     const int hsum = half.allreduce(c.rank(), sim::op_sum{});
@@ -168,7 +168,7 @@ TEST(Socket, SplitAndDup) {
 
 TEST(Socket, RankFailurePropagatesWithoutDeadlock) {
   try {
-    sim::run(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
+    ygm::launch(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
       if (c.rank() == 2) throw std::runtime_error("rank 2 exploded");
       // Other ranks block forever; the abort frame must wake them.
       (void)c.recv_bytes(sim::any_source, 0);
@@ -180,8 +180,25 @@ TEST(Socket, RankFailurePropagatesWithoutDeadlock) {
   }
 }
 
+TEST(Socket, AssertionFailureInRankBodyFailsTheLaunch) {
+  // A rank body runs in a forked child, whose gtest results die with it;
+  // forked_rank_failures.cpp turns the failed assertion into an exception
+  // the rank reports, so the launch fails. The child prints the failure.
+  try {
+    ygm::launch(on_backend(tp::backend_kind::socket, 2), [](sim::comm& c) {
+      if (c.rank() == 1) ADD_FAILURE() << "deliberate rank-body failure";
+      c.barrier();
+    });
+    FAIL() << "the rank body's failed assertion was lost";
+  } catch (const ygm::error& e) {
+    EXPECT_NE(std::string(e.what()).find("deliberate rank-body failure"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Socket, SingleRankWorld) {
-  sim::run(on_backend(tp::backend_kind::socket, 1), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::socket, 1), [](sim::comm& c) {
     c.barrier();
     c.send(41, 0, 0);  // self-send loops through the own slot
     EXPECT_EQ(c.recv<int>(0, 0), 41);
@@ -192,7 +209,7 @@ TEST(Socket, SingleRankWorld) {
 // --------------------------------------------------- shm backend basics
 
 TEST(Shm, PointToPointAcrossProcesses) {
-  const auto blobs = sim::run_collect(
+  const auto blobs = ygm::launch_collect(
       on_backend(tp::backend_kind::shm, 4), [](sim::comm& c) {
         const int p = c.size();
         c.send(c.rank() * 10, (c.rank() + 1) % p, 7);
@@ -218,7 +235,7 @@ TEST(Shm, PointToPointAcrossProcesses) {
 }
 
 TEST(Shm, CollectivesMatchInprocSemantics) {
-  sim::run(on_backend(tp::backend_kind::shm, 5), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::shm, 5), [](sim::comm& c) {
     const int p = c.size();
     c.barrier();
     int v = c.rank() == 2 ? 99 : -1;
@@ -247,7 +264,7 @@ TEST(Shm, LargePayloadsSpillThroughSharedPool) {
   // Payloads far beyond the inline threshold (16 KiB) and beyond the spill
   // ring itself (256 KiB) must stream through intact, both directions at
   // once so the chunked spill protocol is exercised under crossing traffic.
-  sim::run(on_backend(tp::backend_kind::shm, 2), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::shm, 2), [](sim::comm& c) {
     const int peer = c.rank() ^ 1;
     std::vector<std::uint8_t> big(3 * 256 * 1024 + 12345);
     for (std::size_t i = 0; i < big.size(); ++i) {
@@ -266,7 +283,7 @@ TEST(Shm, LargePayloadsSpillThroughSharedPool) {
 
 TEST(Shm, RankFailurePropagatesWithoutDeadlock) {
   try {
-    sim::run(on_backend(tp::backend_kind::shm, 4), [](sim::comm& c) {
+    ygm::launch(on_backend(tp::backend_kind::shm, 4), [](sim::comm& c) {
       if (c.rank() == 2) throw std::runtime_error("rank 2 exploded");
       (void)c.recv_bytes(sim::any_source, 0);
     });
@@ -278,7 +295,7 @@ TEST(Shm, RankFailurePropagatesWithoutDeadlock) {
 }
 
 TEST(Shm, SingleRankWorld) {
-  sim::run(on_backend(tp::backend_kind::shm, 1), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::shm, 1), [](sim::comm& c) {
     c.barrier();
     c.send(41, 0, 0);
     EXPECT_EQ(c.recv<int>(0, 0), 41);
@@ -305,11 +322,11 @@ ygm::core::trial_config reduced_trial(std::uint64_t seed) {
 
 std::vector<std::string> sweep_on(tp::backend_kind backend,
                                   const ygm::core::trial_config& t) {
-  sim::run_options opts;
+  ygm::run_options opts;
   opts.nranks = t.num_ranks();
   opts.backend = backend;
   opts.chaos = t.chaos;
-  const auto blobs = sim::run_collect(opts, [&t](sim::comm& c) {
+  const auto blobs = ygm::launch_collect(opts, [&t](sim::comm& c) {
     const auto local = ygm::core::run_chaos_trial(c, t);
     auto out = std::vector<std::byte>{};
     ygm::ser::append_bytes(local, out);
@@ -410,7 +427,7 @@ std::vector<std::byte> parity_workload(sim::comm& c, std::uint64_t seed) {
 TEST(Parity, SameSeededWorkloadSameLedgerOnAllBackends) {
   const std::uint64_t seed = 20260807;
   const auto digest_on = [&](tp::backend_kind k) {
-    return sim::run_collect(on_backend(k, 4), [&](sim::comm& c) {
+    return ygm::launch_collect(on_backend(k, 4), [&](sim::comm& c) {
       return parity_workload(c, seed);
     });
   };
@@ -442,9 +459,9 @@ TEST(Telemetry, ProbeCountersPublishedPerBackendLane) {
   tel::session session;
   tel::set_global(&session);
 
-  sim::run_options opts = on_backend(tp::backend_kind::inproc, 2);
+  ygm::run_options opts = on_backend(tp::backend_kind::inproc, 2);
   opts.chaos = sim::chaos_config::heavy(11);  // probe misses active
-  sim::run(opts, [](sim::comm& c) {
+  ygm::launch(opts, [](sim::comm& c) {
     const int peer = c.rank() ^ 1;
     // Enough probe rounds that the 30% deterministic miss stream is
     // guaranteed to fire at least once.
@@ -469,7 +486,7 @@ TEST(Telemetry, ProbeCountersPublishedPerBackendLane) {
 TEST(Telemetry, SocketLaneShipsAcrossProcesses) {
   tel::session session;
   tel::set_global(&session);
-  sim::run(on_backend(tp::backend_kind::socket, 3), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::socket, 3), [](sim::comm& c) {
     tel::count("test.sockets.child_counter", 5);
     c.send(c.rank(), (c.rank() + 1) % c.size(), 2);
     (void)c.recv<int>(sim::any_source, 2);
@@ -491,7 +508,7 @@ TEST(Telemetry, SocketLaneShipsAcrossProcesses) {
 TEST(Telemetry, ShmLaneShipsAcrossProcesses) {
   tel::session session;
   tel::set_global(&session);
-  sim::run(on_backend(tp::backend_kind::shm, 3), [](sim::comm& c) {
+  ygm::launch(on_backend(tp::backend_kind::shm, 3), [](sim::comm& c) {
     tel::count("test.shm.child_counter", 5);
     c.send(c.rank(), (c.rank() + 1) % c.size(), 2);
     (void)c.recv<int>(sim::any_source, 2);

@@ -54,7 +54,7 @@ TEST_P(TraversalSchemes, BfsLevelsMatchSerialOracle) {
   const vertex_id root = all.front().src;
   const auto oracle = ygm::apps::bfs_reference(n, all, root);
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     const ygm::apps::local_adjacency adj(
         world, slice(all, c.rank(), c.size()), n, /*weighted=*/false);
@@ -75,7 +75,7 @@ TEST_P(TraversalSchemes, SsspDistancesMatchDijkstra) {
   const vertex_id root = all.front().dst;
   const auto oracle = ygm::apps::sssp_reference(n, all, root);
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     const ygm::apps::local_adjacency adj(
         world, slice(all, c.rank(), c.size()), n, /*weighted=*/true);
@@ -95,7 +95,7 @@ TEST_P(TraversalSchemes, DisjointSetCcMatchesLabelPropagation) {
   const auto all = rmat_edges(scale, 900, 11);
   const auto oracle = ygm::apps::connected_components_reference(n, all);
 
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, GetParam());
     const auto mine = slice(all, c.rank(), c.size());
 
@@ -137,7 +137,7 @@ TEST(Bfs, UnreachedVerticesStayAtSentinel) {
     for (vertex_id b = a + 1; b < 12; ++b) edges.push_back({a, b});
   }
   const vertex_id n = 16;
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     const ygm::apps::local_adjacency adj(world, slice(edges, c.rank(), 4), n,
                                          false);
@@ -158,7 +158,7 @@ TEST(Bfs, PathGraphLevelsAreDistances) {
   const vertex_id n = 30;
   std::vector<edge> edges;
   for (vertex_id v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
-  sim::run(6, [&](sim::comm& c) {
+  ygm::launch({.nranks = 6}, [&](sim::comm& c) {
     comm_world world(c, 3, scheme_kind::nlnr);
     const ygm::apps::local_adjacency adj(world, slice(edges, c.rank(), 6), n,
                                          false);
@@ -180,7 +180,7 @@ TEST(Sssp, PrefersLongerHopCountWhenCheaper) {
       w02, static_cast<std::uint64_t>(w01) + w12);
 
   std::vector<edge> edges{{0, 1}, {1, 2}, {0, 2}};
-  sim::run(3, [&](sim::comm& c) {
+  ygm::launch({.nranks = 3}, [&](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     const ygm::apps::local_adjacency adj(world, slice(edges, c.rank(), 3), 3,
                                          true);
@@ -206,7 +206,7 @@ TEST(Traversal, RelaxationCountsAreBoundedAndReported) {
   for (const auto l : oracle) {
     if (l != ygm::apps::bfs_unreached) ++reached;
   }
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_local);
     const ygm::apps::local_adjacency adj(world, slice(all, c.rank(), 4), n,
                                          false);

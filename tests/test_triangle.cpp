@@ -31,7 +31,7 @@ std::vector<edge> slice(const std::vector<edge>& all, int rank, int nranks) {
 std::uint64_t run_distributed(const topology& topo, scheme_kind kind,
                               const std::vector<edge>& all, vertex_id n) {
   std::uint64_t triangles = 0;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     const auto res = ygm::apps::triangle_count(
         world, slice(all, c.rank(), c.size()), n, 512);
@@ -117,7 +117,7 @@ TEST(TriangleCount, WedgeCountMatchesDegreeFormula) {
     expect_wedges += nbrs.size() * (nbrs.size() - 1) / 2;
   }
 
-  sim::run(4, [&](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [&](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     const auto res = ygm::apps::triangle_count(
         world, slice(all, c.rank(), c.size()), n, 256);

@@ -23,7 +23,7 @@ using ygm::routing::topology;
 double run_timed_uniform(const topology& topo, scheme_kind kind, int msgs,
                          std::size_t capacity) {
   double elapsed = 0;
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     world.attach_virtual_network(ygm::net::network_params::quartz_like());
     mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, capacity);
@@ -42,7 +42,7 @@ double run_timed_uniform(const topology& topo, scheme_kind kind, int msgs,
 }
 
 TEST(VirtualTime, UntimedWorldStaysAtZero) {
-  sim::run(4, [](sim::comm& c) {
+  ygm::launch({.nranks = 4}, [](sim::comm& c) {
     comm_world world(c, 2, scheme_kind::node_remote);
     EXPECT_FALSE(world.timed());
     mailbox<int> mb(world, [](const int&) {});
@@ -76,7 +76,7 @@ TEST(VirtualTime, ArrivalStampsEnforceCausality) {
   // least two remote transfers plus handling, and each relay's clock must
   // be at least the upstream sender's.
   const topology topo(3, 1);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::no_route);
     world.attach_virtual_network(ygm::net::network_params::quartz_like());
     const auto& np = world.virtual_network();
@@ -146,7 +146,7 @@ TEST(VirtualTime, LocalOnlyTrafficChargesLocalLinkCosts) {
   // transfer of the same volume).
   const topology topo(1, 4);
   const auto np = ygm::net::network_params::quartz_like();
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     world.attach_virtual_network(np);
     mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, 128);
@@ -171,7 +171,7 @@ namespace {
 
 TEST(VirtualTime, ContainersAccrueVirtualTime) {
   const topology topo(2, 2);
-  sim::run(topo.num_ranks(), [&](sim::comm& c) {
+  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
     world.attach_virtual_network(ygm::net::network_params::quartz_like());
     ygm::container::counting_set<std::uint64_t> cs(world, 256);

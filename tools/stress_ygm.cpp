@@ -25,7 +25,6 @@
 #include "core/invariants.hpp"
 #include "core/launch.hpp"
 #include "core/progress.hpp"
-#include "mpisim/runtime.hpp"
 #include "ser/serialize.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/telemetry.hpp"
@@ -256,15 +255,12 @@ std::vector<std::string> run_one(const trial_config& t,
   // Violations come back through the serialized result channel: on the
   // socket backend rank bodies live in forked processes, so a
   // gather-to-rank-0 inside the world would never reach this process.
-  // ygm::launch_collect (not the deprecated sim::run_collect) so engine
-  // trials actually start the progress thread in every rank process.
-  ygm::run_options opts;
-  opts.nranks = t.num_ranks();
-  opts.backend = backend;
-  opts.chaos = t.chaos;
-  opts.progress_mode = pmode;
-  opts.sample_ms = sample_ms;
-  opts.statusz = statusz;
+  const ygm::run_options opts{.nranks = t.num_ranks(),
+                              .backend = backend,
+                              .chaos = t.chaos,
+                              .progress_mode = pmode,
+                              .sample_ms = sample_ms,
+                              .statusz = statusz};
   const auto blobs = ygm::launch_collect(opts, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     std::vector<std::byte> out;
