@@ -44,6 +44,7 @@ comm_world::comm_world(mpisim::comm& c, routing::topology topo,
     : comm_(&c), router_(scheme, topo), next_tag_(kTagBlockBase) {
   YGM_CHECK(topo.num_ranks() == c.size(),
             "topology does not cover the communicator");
+  routes_ = router_.routes_from(c.rank());
   // A timed launch (run_options::virtual_network) makes every world built
   // during the run timed, identically on all ranks — the same contract
   // attach_virtual_network places on callers.

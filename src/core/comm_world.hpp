@@ -12,10 +12,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
+#include "common/assert.hpp"
 #include "mpisim/comm.hpp"
 #include "net/params.hpp"
 #include "routing/router.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ygm::progress {
 class station;
@@ -49,6 +52,37 @@ class comm_world {
   const routing::topology& topo() const noexcept { return router_.topo(); }
   const routing::router& route() const noexcept { return router_; }
   mpisim::comm& mpi() const noexcept { return *comm_; }
+
+  // ---------------------------------------------------------- route table
+  //
+  // This rank's answers from the routing scheme, built once at construction
+  // (router::routes_from), so the mailbox's per-record lookups are loads.
+  // Both count the same telemetry the router's own calls count.
+
+  /// route().next_hop(rank(), dst). Precondition: dst != rank() (checked,
+  /// like the range: forwarded addresses come off the wire).
+  int next_hop(int dst) const {
+    const auto d = static_cast<std::size_t>(dst);
+    YGM_ASSERT(d < routes_.next_hop.size());
+    const int nh = routes_.next_hop[d];
+    YGM_ASSERT(nh >= 0);  // -1 marks this rank
+    if (telemetry::recorder* rec = telemetry::tls()) {
+      rec->fast_add(telemetry::fast_counter::route_next_hop, 1);
+      rec->fast_add_scheme_hop(static_cast<unsigned>(router_.kind()));
+    }
+    return nh;
+  }
+
+  /// route().bcast_next_hops(rank(), origin), as a span into the table
+  /// (valid for the world's lifetime — reading it allocates nothing).
+  std::span<const int> bcast_next_hops(int origin) const {
+    const auto o = static_cast<std::size_t>(origin);
+    YGM_ASSERT(o + 1 < routes_.bcast_begin.size());
+    const auto begin = static_cast<std::size_t>(routes_.bcast_begin[o]);
+    const auto end = static_cast<std::size_t>(routes_.bcast_begin[o + 1]);
+    telemetry::add(telemetry::fast_counter::route_bcast_fanout, end - begin);
+    return {routes_.bcast_hops.data() + begin, end - begin};
+  }
 
   /// Reserve a block of point-to-point tags (for a mailbox's data plane and
   /// termination plane). Blocks are disjoint per call, but identical across
@@ -143,6 +177,7 @@ class comm_world {
  private:
   mpisim::comm* comm_;
   routing::router router_;
+  routing::rank_routes routes_;
   std::shared_ptr<progress::station> station_;
   int next_tag_;
   bool serialize_self_sends_ = false;

@@ -11,11 +11,18 @@
 // rank from accumulating unbounded unhandled messages.
 //
 // Message addressing is delegated entirely to the routing scheme of the
-// comm_world (paper §III): each queued record is keyed by
-// router::next_hop(), so the node-local / node-remote / NLNR exchange
-// phases emerge from repeated forwarding without the mailbox knowing the
-// scheme. Broadcasts (paper §III's asynchronous SEND_BCAST) ride the same
-// machinery via router::bcast_next_hops().
+// comm_world (paper §III): each queued record is keyed by the world's
+// next_hop() (the scheme's answers, tabulated once per world), so the
+// node-local / node-remote / NLNR exchange phases emerge from repeated
+// forwarding without the mailbox knowing the scheme. Broadcasts (paper
+// §III's asynchronous SEND_BCAST) ride the same machinery via the world's
+// bcast_next_hops().
+//
+// Per-record cost: a message type the archive encodes as its own object
+// bytes (ser::is_bitwise_v) of at most one cache line is appended with raw
+// stores and copied back out on delivery, with no archive on either end;
+// every other type is serialized in place. Relays — forwards and
+// broadcast fan-out — copy the encoded record verbatim.
 //
 // Termination (paper §IV-B): wait_empty() blocks until globally quiescent
 // (collective: every rank must call it); test_empty() is the nonblocking
@@ -85,6 +92,8 @@ class mailbox {
   mailbox(comm_world& world, recv_callback on_recv,
           std::size_t capacity_bytes = default_mailbox_capacity)
       : world_(&world),
+        rank_(world.rank()),
+        size_(world.size()),
         on_recv_(std::move(on_recv)),
         capacity_(capacity_bytes),
         // Tag block: data, credit acks, then the termination detector.
@@ -142,10 +151,10 @@ class mailbox {
   /// Queue a point-to-point message for rank `dest` (paper SEND). Messages
   /// to self are delivered immediately through the callback.
   void send(int dest, const Msg& m) {
-    YGM_CHECK(dest >= 0 && dest < world_->size(), "send destination invalid");
+    YGM_CHECK(dest >= 0 && dest < size_, "send destination invalid");
     auto lk = engine_lock();
     ++stats_.app_sends;
-    if (dest == world_->rank()) {
+    if (dest == rank_) {
       if (world_->serialize_self_sends()) {
         // Debug/chaos path: round-trip rank-local deliveries through ser::
         // like any remote message, so asymmetric serialize() bugs surface
@@ -167,22 +176,15 @@ class mailbox {
     // the wire and are not sampled.
     telemetry::causal::wire_ctx tc;
     const bool traced = telemetry::causal::try_begin(
-        world_->rank(), trace_seq_++, static_cast<std::uint32_t>(data_tag_),
-        tc);
-    // Zero-copy: serialize straight into the coalescing buffer's record
-    // slot (no scratch round-trip). The previous payload size seeds the
-    // length-slot width, so fixed-size message streams never shift bytes.
-    const int nh = world_->route().next_hop(world_->rank(), dest);
+        rank_, trace_seq_++, static_cast<std::uint32_t>(data_tag_), tc);
+    const int nh = world_->next_hop(dest);
     credit_gate(nh, lk);
     world_->virtual_charge_events(1);
     std::size_t before = 0;
     auto& buf = begin_record(nh, before);
     if (traced) append_trace_escape(buf, tc);
-    const packet_inplace_result rec = packet_append_inplace(
-        buf, /*is_bcast=*/false, dest, len_hint_,
-        [&](std::vector<std::byte>& out) { ser::append_bytes(m, out); });
-    len_hint_ = rec.payload_size;
-    if (traced) note_trace_pending(nh, tc, rec.payload_size);
+    append_message(buf, /*is_bcast=*/false, dest, m);
+    if (traced) note_trace_pending(nh, tc, len_hint_);
     finish_record(nh, buf, before);
     if (in_exchange_.load(std::memory_order_relaxed) &&
         queued_bytes_ >= capacity_) {
@@ -197,28 +199,24 @@ class mailbox {
   void send_bcast(const Msg& m) {
     auto lk = engine_lock();
     ++stats_.app_bcasts;
-    const int me = world_->rank();
-    const auto hops = world_->route().bcast_next_hops(me, me);
+    const std::span<const int> hops = world_->bcast_next_hops(rank_);
     if (hops.empty()) return;
     // Gate every hop before the first record exists: a mid-fan-out stall
     // would pump progress while holding a span into a coalescing buffer.
     for (const int nh : hops) credit_gate(nh, lk);
-    // Serialize once, in place, into the first hop's buffer; the siblings
-    // copy that record's payload span. The inline-flush check is deferred
-    // past the fan-out so a mid-loop flush cannot invalidate the span.
+    // Encode once into the first hop's buffer; the siblings copy that
+    // record verbatim. The inline-flush check is deferred past the fan-out
+    // so a mid-loop flush cannot invalidate the span.
     world_->virtual_charge_events(1);
     std::size_t before = 0;
     auto& fbuf = begin_record(hops[0], before);
-    const packet_inplace_result rec = packet_append_inplace(
-        fbuf, /*is_bcast=*/true, me, len_hint_,
-        [&](std::vector<std::byte>& out) { ser::append_bytes(m, out); });
-    len_hint_ = rec.payload_size;
+    const std::size_t rec_at = fbuf.size();
+    append_message(fbuf, /*is_bcast=*/true, rank_, m);
     finish_record(hops[0], fbuf, before);
-    const std::span<const std::byte> payload(fbuf.data() + rec.payload_offset,
-                                             rec.payload_size);
+    const std::span<const std::byte> record(fbuf.data() + rec_at,
+                                            fbuf.size() - rec_at);
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      enqueue(hops[i], /*bcast=*/true, me, payload, nullptr,
-              /*defer_flush=*/true);
+      enqueue(hops[i], record, len_hint_, nullptr, /*defer_flush=*/true);
     }
     if (in_exchange_.load(std::memory_order_relaxed) &&
         queued_bytes_ >= capacity_) {
@@ -338,14 +336,41 @@ class mailbox {
   //
   // The send/forward hot paths share three steps: begin_record (pool
   // acquire + arrival-stamp slot, returns the pre-record size), the record
-  // bytes themselves (in-place serialization or a span copy), and
-  // finish_record (byte/record accounting).
+  // bytes themselves (append_message, or a verbatim copy of an encoded
+  // record), and finish_record (byte/record accounting).
+
+  /// Messages whose archive encoding is their object bytes skip the archive
+  /// on both ends. Capped at one cache line: raised to 1 KiB, the cap sent
+  /// the benchmark's 1 KiB shm records (bulk_local) down this path and cost
+  /// them a median 28% of their message rate (4 interleaved pairs, 4-core
+  /// Xeon VM, GCC 12, which copies the constant 1 KiB with `rep movsq`).
+  static constexpr bool bitwise_records =
+      ser::is_bitwise_v<Msg> && sizeof(Msg) <= 64;
+
+  /// Encode one message record at the end of `buf`. Afterwards len_hint_
+  /// holds its payload size.
+  void append_message(std::vector<std::byte>& buf, bool is_bcast, int addr,
+                      const Msg& m) {
+    if constexpr (bitwise_records) {
+      packet_append_bitwise(buf, is_bcast, addr, m);
+      len_hint_ = sizeof(Msg);
+    } else {
+      // Zero-copy: serialize straight into the coalescing buffer's record
+      // slot (no scratch round-trip). The previous payload size seeds the
+      // length-slot width, so fixed-size message streams never shift bytes.
+      len_hint_ = packet_append_inplace(buf, is_bcast, addr, len_hint_,
+                                        [&](std::vector<std::byte>& out) {
+                                          ser::append_bytes(m, out);
+                                        })
+                      .payload_size;
+    }
+  }
 
   /// `before_out` is sampled ahead of the arrival-stamp reservation so the
   /// 8-byte stamp counts toward queued_bytes_: capacity triggering and the
   /// byte counters must agree with the bytes that actually hit the wire.
   std::vector<std::byte>& begin_record(int next_hop, std::size_t& before_out) {
-    YGM_ASSERT(next_hop != world_->rank());
+    YGM_ASSERT(next_hop != rank_);
     auto& buf = buffers_[static_cast<std::size_t>(next_hop)];
     before_out = buf.size();
     if (buf.empty()) {
@@ -410,14 +435,15 @@ class mailbox {
          static_cast<std::uint32_t>(payload_bytes)});
   }
 
-  /// Append an already-serialized record (forwards and broadcast fan-out —
-  /// the payload span points into the received packet or a sibling buffer,
-  /// never into buffers_[next_hop] itself).
+  /// Relay an already-encoded record (forwards and broadcast fan-out): a
+  /// relay sends the same (addr, is_bcast, payload) on, so the record's
+  /// bytes are copied verbatim. The span points into the received packet
+  /// or a sibling buffer, never into buffers_[next_hop] itself.
   ///
   /// `defer_flush` lets callers holding a span into another coalescing
   /// buffer postpone the inline flush check until the span is dead.
-  void enqueue(int next_hop, bool is_bcast, int addr,
-               std::span<const std::byte> payload,
+  void enqueue(int next_hop, std::span<const std::byte> record,
+               std::size_t payload_bytes,
                const telemetry::causal::wire_ctx* trace = nullptr,
                bool defer_flush = false) {
     world_->virtual_charge_events(1);
@@ -425,9 +451,9 @@ class mailbox {
     auto& buf = begin_record(next_hop, before);
     if (trace != nullptr) {
       append_trace_escape(buf, *trace);
-      note_trace_pending(next_hop, *trace, payload.size());
+      note_trace_pending(next_hop, *trace, payload_bytes);
     }
-    packet_append(buf, is_bcast, addr, payload);
+    buf.insert(buf.end(), record.begin(), record.end());
     finish_record(next_hop, buf, before);
     // Forwarding during an exchange can overfill the buffers; flush inline
     // (without re-entering the poll loop).
@@ -603,7 +629,7 @@ class mailbox {
         owed = 0;
       }
     }
-    const bool remote = world_->topo().is_remote(world_->rank(), nh);
+    const bool remote = world_->topo().is_remote(rank_, nh);
     if (remote) {
       ++stats_.remote_packets;
       stats_.remote_bytes += buf.size();
@@ -666,7 +692,7 @@ class mailbox {
     while (auto st = mpi.iprobe(mpisim::any_source, data_tag_)) {
       auto packet = mpi.recv_bytes(st->source, data_tag_);
       handle_packet(packet, st->source);
-      // handle_packet copies every span it keeps (enqueue appends payload
+      // handle_packet copies every span it keeps (enqueue appends record
       // bytes into coalescing buffers), so no reference into the packet
       // survives it and the capacity can be recycled.
       buffer_pool::local().release(std::move(packet));
@@ -839,12 +865,11 @@ class mailbox {
     // Always recorded as a plain record addressed to this rank: broadcast
     // fan-out already happened on the engine, only the local delivery is
     // deferred.
-    packet_append(batch, /*is_bcast=*/false, world_->rank(), payload);
+    packet_append(batch, /*is_bcast=*/false, rank_, payload);
   }
 
   void handle_packet(const std::vector<std::byte>& packet, int from,
                      std::vector<std::byte>* defer_batch = nullptr) {
-    const int me = world_->rank();
     // Flow control: every received byte is owed back to its sender once
     // this drain pass has consumed it (flush_credit_acks / the piggyback in
     // flush_buffer return the debt).
@@ -887,7 +912,7 @@ class mailbox {
       ++stats_.hops_received;
       world_->virtual_charge_events(1);
       if (rec.is_bcast) {
-        YGM_ASSERT(rec.addr != me);  // bcast trees never loop to the origin
+        YGM_ASSERT(rec.addr != rank_);  // bcast trees never loop to the origin
         pending_trace = nullptr;  // broadcasts are never sampled
         if (defer_batch != nullptr) {
           defer_delivery(*defer_batch, rec.payload, nullptr);
@@ -897,13 +922,13 @@ class mailbox {
         // Forward straight from the received packet's span — enqueue copies
         // it into the coalescing buffers, and an inline flush only touches
         // those buffers, so the span stays valid across the fan-out.
-        for (int nh : world_->route().bcast_next_hops(me, rec.addr)) {
+        for (const int nh : world_->bcast_next_hops(rec.addr)) {
           ++stats_.forwards;
           fwd_marker_.record(static_cast<std::uint64_t>(rec.addr),
                              static_cast<std::uint64_t>(nh));
-          enqueue(nh, /*bcast=*/true, rec.addr, rec.payload);
+          enqueue(nh, rec.encoded, rec.payload.size());
         }
-      } else if (rec.addr == me) {
+      } else if (rec.addr == rank_) {
         if (defer_batch != nullptr) {
           defer_delivery(*defer_batch, rec.payload, pending_trace);
           pending_trace = nullptr;
@@ -919,7 +944,7 @@ class mailbox {
         }
       } else {
         ++stats_.forwards;
-        const int nh = world_->route().next_hop(me, rec.addr);
+        const int nh = world_->next_hop(rec.addr);
         fwd_marker_.record(static_cast<std::uint64_t>(rec.addr),
                            static_cast<std::uint64_t>(nh));
         if (pending_trace != nullptr) {
@@ -929,7 +954,7 @@ class mailbox {
         }
         // Re-queue straight from the received packet's span (no copy
         // through a forward scratch buffer).
-        enqueue(nh, /*bcast=*/false, rec.addr, rec.payload, pending_trace);
+        enqueue(nh, rec.encoded, rec.payload.size(), pending_trace);
         pending_trace = nullptr;
       }
     }
@@ -937,15 +962,23 @@ class mailbox {
 
   void deliver(std::span<const std::byte> payload) {
     Msg m{};
-    ser::iarchive ar(payload);
-    ar & m;
-    YGM_CHECK(ar.exhausted(), "message payload has trailing bytes");
+    if constexpr (bitwise_records) {
+      YGM_CHECK(payload.size() == sizeof(Msg),
+                "message payload size does not match the message type");
+      std::memcpy(&m, payload.data(), sizeof(Msg));
+    } else {
+      ser::iarchive ar(payload);
+      ar & m;
+      YGM_CHECK(ar.exhausted(), "message payload has trailing bytes");
+    }
     ++stats_.deliveries;
     telemetry::add(telemetry::fast_counter::deliveries);
     on_recv_(m);
   }
 
   comm_world* world_;
+  int rank_;  // cached: send() reads both per message
+  int size_;
   recv_callback on_recv_;
   std::size_t capacity_;
   int data_tag_;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "ser/archive.hpp"
 #include "ser/varint.hpp"
 
 namespace ygm::core {
@@ -51,6 +52,10 @@ struct packet_record {
   bool is_bcast = false;
   int addr = -1;  ///< destination rank (p2p) or origin rank (bcast)
   std::span<const std::byte> payload;
+  /// The whole record as encoded: header, length and payload. A relay
+  /// sends the same (addr, is_bcast, payload) on, so it appends these
+  /// bytes verbatim instead of re-encoding them.
+  std::span<const std::byte> encoded;
 };
 
 /// True if `rec` is a trace annotation for the next record, not a message.
@@ -91,9 +96,8 @@ struct packet_inplace_result {
 /// difference. The encoding is therefore byte-identical to packet_append
 /// for every (addr, is_bcast, payload) — callers feed the previous record's
 /// size back as the hint so steady streams of same-sized messages never
-/// shift. Returns the payload's final position (still valid until the next
-/// packet mutation), so broadcast fan-out can memcpy the encoded payload to
-/// sibling buffers instead of re-serializing.
+/// shift. Returns the payload's final position and size (the position is
+/// valid until the next packet mutation).
 template <class SerializeFn>
 packet_inplace_result packet_append_inplace(std::vector<std::byte>& packet,
                                             bool is_bcast, int addr,
@@ -121,6 +125,25 @@ packet_inplace_result packet_append_inplace(std::vector<std::byte>& packet,
   return {slot_at + width, len};
 }
 
+/// Append one record whose payload is the object bytes of `v` — the
+/// archive's encoding of a ser::is_bitwise_v type — with one buffer growth
+/// and raw stores. Byte-identical to packet_append(…, ser::to_bytes(v)).
+template <class T>
+void packet_append_bitwise(std::vector<std::byte>& packet, bool is_bcast,
+                           int addr, const T& v) {
+  static_assert(ser::is_bitwise_v<T>, "payload type is not bitwise");
+  YGM_ASSERT(addr >= 0);
+  constexpr std::size_t len_width = ser::varint_size(sizeof(T));
+  const std::uint64_t header =
+      (static_cast<std::uint64_t>(addr) << 1) | (is_bcast ? 1u : 0u);
+  const std::size_t at = packet.size();
+  packet.resize(at + ser::varint_size(header) + len_width + sizeof(T));
+  std::byte* p = packet.data() + at;
+  p += ser::varint_encode_at(header, p);
+  p += ser::varint_encode_at(sizeof(T), p);
+  std::memcpy(p, &v, sizeof(T));
+}
+
 /// Upper bound on the encoded size of one record (for capacity accounting).
 inline std::size_t packet_record_size(int addr,
                                       std::size_t payload_bytes) noexcept {
@@ -137,6 +160,7 @@ class packet_reader {
   bool done() const noexcept { return p_ == end_; }
 
   packet_record next() {
+    const std::byte* const start = p_;
     const std::uint64_t header = ser::varint_decode(p_, end_);
     const std::uint64_t len = ser::varint_decode(p_, end_);
     YGM_CHECK(len <= static_cast<std::uint64_t>(end_ - p_),
@@ -146,6 +170,7 @@ class packet_reader {
     rec.addr = static_cast<int>(header >> 1);
     rec.payload = std::span<const std::byte>(p_, static_cast<std::size_t>(len));
     p_ += len;
+    rec.encoded = std::span<const std::byte>(start, p_);
     return rec;
   }
 

@@ -11,10 +11,17 @@ delegate_set::delegate_set(std::vector<vertex_id> sorted_ids)
     : ids_(std::move(sorted_ids)) {
   YGM_CHECK(std::is_sorted(ids_.begin(), ids_.end()),
             "delegate ids must be sorted for cross-rank agreement");
-  slots_.reserve(ids_.size());
+  std::size_t n = 2;
+  while (n < 2 * ids_.size()) {
+    n *= 2;
+    --shift_;
+  }
+  buckets_.assign(n, bucket{});
   for (std::uint64_t i = 0; i < ids_.size(); ++i) {
-    const bool inserted = slots_.emplace(ids_[i], i).second;
-    YGM_CHECK(inserted, "duplicate delegate id");
+    YGM_CHECK(i == 0 || ids_[i] != ids_[i - 1], "duplicate delegate id");
+    std::size_t b = home(ids_[i]);
+    while (buckets_[b].slot != empty) b = (b + 1) & (n - 1);
+    buckets_[b] = {ids_[i], i};
   }
 }
 

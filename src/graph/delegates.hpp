@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "core/comm_world.hpp"
 #include "graph/edge.hpp"
 #include "graph/rmat.hpp"
@@ -30,10 +30,15 @@ class delegate_set {
   /// on every rank).
   explicit delegate_set(std::vector<vertex_id> sorted_ids);
 
-  bool contains(vertex_id v) const { return slots_.count(v) != 0; }
+  bool contains(vertex_id v) const noexcept { return find(v) != nullptr; }
 
-  /// Dense replica slot of a delegate id; precondition: contains(v).
-  std::uint64_t slot(vertex_id v) const { return slots_.at(v); }
+  /// Dense replica slot of a delegate id; throws ygm::error unless
+  /// contains(v).
+  std::uint64_t slot(vertex_id v) const {
+    const bucket* b = find(v);
+    YGM_CHECK(b != nullptr, "vertex is not a delegate");
+    return b->slot;
+  }
 
   vertex_id id_of_slot(std::uint64_t slot) const { return ids_[slot]; }
 
@@ -41,8 +46,30 @@ class delegate_set {
   const std::vector<vertex_id>& ids() const noexcept { return ids_; }
 
  private:
+  // Open addressing, sized once: the applications probe this table several
+  // times per edge. Power-of-two buckets at most half full, a
+  // multiplicative (Fibonacci) hash taking the top bits, linear probing.
+  static constexpr std::uint64_t empty = ~std::uint64_t{0};
+  struct bucket {
+    vertex_id id = 0;
+    std::uint64_t slot = empty;
+  };
+
+  std::size_t home(vertex_id v) const noexcept {
+    return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  const bucket* find(vertex_id v) const noexcept {
+    for (std::size_t i = home(v);; i = (i + 1) & (buckets_.size() - 1)) {
+      const bucket& b = buckets_[i];
+      if (b.slot == empty) return nullptr;
+      if (b.id == v) return &b;
+    }
+  }
+
   std::vector<vertex_id> ids_;
-  std::unordered_map<vertex_id, std::uint64_t> slots_;
+  std::vector<bucket> buckets_ = std::vector<bucket>(2);
+  int shift_ = 63;  ///< 64 - log2(buckets_.size())
 };
 
 /// Collectively select delegates: every vertex whose (locally owned) degree

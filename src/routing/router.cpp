@@ -27,15 +27,19 @@ std::string_view to_string(scheme_kind k) {
 }
 
 int router::next_hop(int here, int dst) const {
-  YGM_ASSERT(here != dst);
-  YGM_ASSERT(here >= 0 && here < topo_.num_ranks());
-  YGM_ASSERT(dst >= 0 && dst < topo_.num_ranks());
   // One tls() load for both hot-path counters: next_hop runs per queued
   // record, so the idle cost here must stay at a single load + branch.
   if (telemetry::recorder* rec = telemetry::tls()) {
     rec->fast_add(telemetry::fast_counter::route_next_hop, 1);
     rec->fast_add_scheme_hop(static_cast<unsigned>(kind_));
   }
+  return next_hop_impl(here, dst);
+}
+
+int router::next_hop_impl(int here, int dst) const {
+  YGM_ASSERT(here != dst);
+  YGM_ASSERT(here >= 0 && here < topo_.num_ranks());
+  YGM_ASSERT(dst >= 0 && dst < topo_.num_ranks());
   switch (kind_) {
     case scheme_kind::no_route:
       return dst;
@@ -81,6 +85,24 @@ int router::next_hop_nlnr(int here, int dst) const {
 std::vector<int> router::bcast_next_hops(int here, int origin) const {
   std::vector<int> out = bcast_next_hops_impl(here, origin);
   telemetry::add(telemetry::fast_counter::route_bcast_fanout, out.size());
+  return out;
+}
+
+rank_routes router::routes_from(int here) const {
+  const int p = topo_.num_ranks();
+  YGM_ASSERT(here >= 0 && here < p);
+  rank_routes out;
+  out.next_hop.resize(static_cast<std::size_t>(p), -1);
+  out.bcast_begin.reserve(static_cast<std::size_t>(p) + 1);
+  for (int r = 0; r < p; ++r) {
+    if (r != here) {
+      out.next_hop[static_cast<std::size_t>(r)] = next_hop_impl(here, r);
+    }
+    out.bcast_begin.push_back(static_cast<int>(out.bcast_hops.size()));
+    const std::vector<int> hops = bcast_next_hops_impl(here, r);
+    out.bcast_hops.insert(out.bcast_hops.end(), hops.begin(), hops.end());
+  }
+  out.bcast_begin.push_back(static_cast<int>(out.bcast_hops.size()));
   return out;
 }
 

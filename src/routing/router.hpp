@@ -25,6 +25,15 @@ namespace ygm::routing {
 
 enum class scheme_kind { no_route, node_local, node_remote, nlnr };
 
+/// One rank's routes under a scheme, flattened: its next hop toward every
+/// destination and its broadcast fan-out for every origin, as per-origin
+/// offsets into one hop array (O(P) ints under every scheme).
+struct rank_routes {
+  std::vector<int> next_hop;     ///< [dst]; -1 at the rank itself
+  std::vector<int> bcast_begin;  ///< [origin] into bcast_hops; P + 1 entries
+  std::vector<int> bcast_hops;
+};
+
 std::string_view to_string(scheme_kind k);
 
 /// All schemes, in the order the paper's plots list them.
@@ -47,6 +56,11 @@ class router {
   /// must be forwarded. Every rank except `origin` receives exactly one copy
   /// across the whole tree. Callers pass here==origin to start the bcast.
   std::vector<int> bcast_next_hops(int here, int origin) const;
+
+  /// Every next_hop(here, ·) and bcast_next_hops(here, ·) answer, computed
+  /// once (core::comm_world's route table). Counts no telemetry: the
+  /// table's readers count each lookup instead.
+  rank_routes routes_from(int here) const;
 
   /// The full hop sequence from src to dst (excluding src, ending at dst).
   /// Convenience over repeated next_hop(); length <= max_hops().
@@ -75,6 +89,7 @@ class router {
   long long bcast_remote_messages() const;
 
  private:
+  int next_hop_impl(int here, int dst) const;
   std::vector<int> bcast_next_hops_impl(int here, int origin) const;
   int next_hop_node_local(int here, int dst) const;
   int next_hop_node_remote(int here, int dst) const;

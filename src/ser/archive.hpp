@@ -86,6 +86,8 @@ class oarchive {
   std::size_t bytes_written() const noexcept { return out_.size(); }
 
  private:
+  // is_bitwise_v (below iarchive) names the branches that end in one raw
+  // copy; keep the two in step.
   template <class T>
   void dispatch(const T& v) {
     if constexpr (std::is_arithmetic_v<T>) {
@@ -178,5 +180,19 @@ class iarchive {
   const std::byte* p_;
   const std::byte* end_;
 };
+
+/// True exactly when both archives encode T as its sizeof(T) object bytes —
+/// the branches of dispatch() that end in one raw copy: arithmetic types,
+/// enums, and trivially copyable types with no member or free serialize().
+/// Such a value can be appended with a memcpy and decoded with one, which
+/// is what the mailbox's fixed-width record path does (core/mailbox.hpp).
+template <class T>
+inline constexpr bool is_bitwise_v =
+    std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+    (std::is_trivially_copyable_v<T> &&
+     !detail::has_member_serialize<T, oarchive> &&
+     !detail::has_free_serialize<T, oarchive> &&
+     !detail::has_member_serialize<T, iarchive> &&
+     !detail::has_free_serialize<T, iarchive>);
 
 }  // namespace ygm::ser

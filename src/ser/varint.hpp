@@ -30,6 +30,11 @@ inline std::size_t varint_encode(std::uint64_t v, std::vector<std::byte>& out) {
 /// Decode an unsigned LEB128 value from [p, end). Advances p past the
 /// encoding. Throws ygm::error on truncated or oversized input.
 inline std::uint64_t varint_decode(const std::byte*& p, const std::byte* end) {
+  // One-byte values (every record header below rank 64, every length below
+  // 128) skip the loop.
+  if (p != end && (static_cast<std::uint8_t>(*p) & 0x80u) == 0) [[likely]] {
+    return static_cast<std::uint8_t>(*p++);
+  }
   std::uint64_t v = 0;
   int shift = 0;
   while (true) {

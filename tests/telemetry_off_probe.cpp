@@ -23,6 +23,9 @@ struct off_probe_msg {
   }
 };
 template class ygm::core::mailbox<off_probe_msg>;
+// ...and the fixed-width record path (both count routing through the
+// world's route table).
+template class ygm::core::mailbox<std::uint64_t>;
 
 // Exercise the inline feed helpers in a reachable (but never called)
 // function so they cannot rot behind the macro.
@@ -31,6 +34,8 @@ void ygm_telemetry_off_probe() {
   tel::add(tel::fast_counter::deliveries);
   tel::live::gauge_set(tel::live::gauge::queued_bytes, 1.0);
   tel::live::note_latency(0, tel::live::latency_kind::e2e, 1.0);
+  (void)&ygm::core::comm_world::next_hop;
+  (void)&ygm::core::comm_world::bcast_next_hops;
   auto services = tel::live::make_process_services();
   (void)services;
 }

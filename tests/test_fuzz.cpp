@@ -5,6 +5,7 @@
 // capacity).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -174,6 +175,37 @@ TEST(MailboxEdge, ManySmallMessagesUnderTinyCapacity) {
     const auto total = c.allreduce(got, sim::op_sum{});
     EXPECT_EQ(total, 200u * static_cast<std::uint64_t>(c.size()));
   });
+}
+
+// Fixed-width records are copied straight into the message on delivery,
+// so the payload size is the only guard between a mismatched peer and an
+// out-of-bounds read. Every rank builds one mailbox (so the tag blocks
+// match), but rank 1's message type is one byte short or long.
+template <std::size_t N>
+struct raw_bytes {
+  std::array<std::uint8_t, N> b{};
+};
+
+template <class Peer>
+void launch_with_mismatched_peer() {
+  using own = raw_bytes<16>;
+  static_assert(ygm::ser::is_bitwise_v<own> && ygm::ser::is_bitwise_v<Peer>);
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
+    comm_world world(c, topology(1, 2), scheme_kind::no_route);
+    if (c.rank() == 0) {
+      mailbox<own> mb(world, [](const own&) {});
+      mb.wait_empty();
+    } else {
+      mailbox<Peer> mb(world, [](const Peer&) {});
+      mb.send(0, Peer{});
+      mb.wait_empty();
+    }
+  });
+}
+
+TEST(MailboxEdge, MismatchedFixedWidthRecordsAreRejected) {
+  EXPECT_THROW(launch_with_mismatched_peer<raw_bytes<15>>(), ygm::error);
+  EXPECT_THROW(launch_with_mismatched_peer<raw_bytes<17>>(), ygm::error);
 }
 
 TEST(MailboxEdge, InterleavedSendAndBcastStreams) {

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/ygm.hpp"
 #include "graph/delegates.hpp"
 #include "graph/generators.hpp"
@@ -214,6 +216,39 @@ TEST(Delegates, EmptySetBehaves) {
   const delegate_set d;
   EXPECT_EQ(d.size(), 0u);
   EXPECT_FALSE(d.contains(0));
+}
+
+TEST(Delegates, CollidingIdsMatchAnOrderedMapOracle) {
+  // Multiples of 2^20 share their low bits, the worst case for a table
+  // indexed by them; check every member and many non-members.
+  std::vector<vertex_id> ids;
+  std::map<vertex_id, std::uint64_t> oracle;
+  for (vertex_id k = 0; k < 5000; ++k) {
+    oracle.emplace(k << 20, ids.size());
+    ids.push_back(k << 20);
+  }
+  const delegate_set d(ids);
+  ASSERT_EQ(d.size(), ids.size());
+  for (const auto& [id, slot] : oracle) {
+    ASSERT_TRUE(d.contains(id)) << id;
+    ASSERT_EQ(d.slot(id), slot) << id;
+    ASSERT_EQ(d.id_of_slot(slot), id);
+  }
+  ygm::xoshiro256 rng(2024);
+  for (int i = 0; i < 100000; ++i) {
+    // Half near the members (same high bits, nonzero low bits), half
+    // anywhere in the id space.
+    const vertex_id v = (i % 2 == 0) ? (rng.below(5000) << 20) + 1 +
+                                           rng.below((1u << 20) - 1)
+                                     : rng();
+    ASSERT_EQ(d.contains(v), oracle.count(v) != 0) << v;
+  }
+}
+
+TEST(Delegates, SlotOfANonDelegateThrows) {
+  const delegate_set d({3, 17, 42});
+  EXPECT_THROW((void)d.slot(4), ygm::error);
+  EXPECT_THROW((void)delegate_set{}.slot(0), ygm::error);
 }
 
 TEST(Delegates, SelectionAgreesAcrossRanks) {

@@ -3,18 +3,22 @@
 //   * byte-identity fuzz of packet_append_inplace against the copy-based
 //     packet_append across addresses (incl. the trace escape), payload
 //     sizes straddling every varint width boundary, bcast flags, and
-//     length-slot hints (matching, too narrow, too wide);
+//     length-slot hints (matching, too narrow, too wide); the same for
+//     packet_append_bitwise (fixed-width records) and for the encoded
+//     record spans relays copy verbatim;
 //   * buffer_pool unit behaviour: hit/miss accounting, the bounded
 //     high-water retention that frees oversized buffers, the max_pooled
 //     cap, and the sliding-window decay of the retention bound;
 //   * a counting operator-new hook asserting the warm steady-state
 //     send->flush->drain cycle performs ~zero heap allocations per
-//     message;
+//     message, and broadcast fan-out (origin and relays) per broadcast;
 //   * a 16-seed chaos sweep cross-checking that pooling never recycles a
 //     buffer that still backs an in-flight span (payload corruption or
 //     duplicate/lost deliveries would trip the delivery ledger).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -72,6 +76,7 @@ using ygm::core::buffer_pool;
 using ygm::core::comm_world;
 using ygm::core::mailbox;
 using ygm::core::packet_append;
+using ygm::core::packet_append_bitwise;
 using ygm::core::packet_append_inplace;
 using ygm::core::packet_reader;
 using ygm::core::packet_trace_escape;
@@ -123,6 +128,34 @@ TEST(PacketInplace, ByteIdenticalToCopyAppendAcrossTheMatrix) {
       }
     }
   }
+
+  // The fixed-width record path: raw stores of a bitwise value must match
+  // the archive's encoding appended by copy, for every address and flag.
+  const auto check_bitwise = [&](const auto& v) {
+    for (const int addr : addrs) {
+      for (const bool bcast : {false, true}) {
+        std::vector<std::byte> reference;
+        packet_append(reference, bcast, addr, ygm::ser::to_bytes(v));
+        std::vector<std::byte> raw;
+        packet_append_bitwise(raw, bcast, addr, v);
+        ASSERT_EQ(raw, reference) << "size=" << sizeof(v) << " addr=" << addr
+                                  << " bcast=" << bcast;
+      }
+    }
+  };
+  struct pod16 {
+    std::uint64_t a;
+    std::uint32_t b;
+    std::int16_t c;
+    std::uint8_t d[2];
+  };
+  static_assert(sizeof(pod16) == 16 && ygm::ser::is_bitwise_v<pod16>);
+  std::array<std::byte, 64> line{};
+  const auto bytes64 = fuzz_payload(line.size(), 99);
+  std::copy(bytes64.begin(), bytes64.end(), line.begin());
+  check_bitwise(std::uint64_t{0x0123456789abcdefULL});
+  check_bitwise(pod16{~0ULL, 7, -3, {1, 2}});
+  check_bitwise(line);
 }
 
 TEST(PacketInplace, MultiRecordPacketRoundTripsThroughReader) {
@@ -149,6 +182,11 @@ TEST(PacketInplace, MultiRecordPacketRoundTripsThroughReader) {
     ASSERT_EQ(rec.payload.size(), payloads[i].size());
     EXPECT_EQ(0, std::memcmp(rec.payload.data(), payloads[i].data(),
                              payloads[i].size()));
+    // The span relays copy verbatim is exactly a fresh encoding.
+    std::vector<std::byte> fresh;
+    packet_append(fresh, rec.is_bcast, rec.addr, rec.payload);
+    EXPECT_EQ(std::vector<std::byte>(rec.encoded.begin(), rec.encoded.end()),
+              fresh);
   }
   EXPECT_EQ(i, payloads.size());
 }
@@ -237,11 +275,18 @@ TEST(BufferPool, ByteBudgetCapsRetention) {
 
 // ------------------------------------- steady-state allocation behaviour
 
-/// Allocations counted on rank 0's thread across `msgs` all-to-all sends
-/// (plus the flush/drain/forward work they trigger) after a warm-up pass
-/// that populates the pools and grows every buffer to its working size.
-std::uint64_t steady_state_allocs(int msgs) {
-  std::uint64_t allocs = 0;
+struct steady_allocs {
+  std::uint64_t p2p = 0;    ///< rank 0, across its all-to-all sends
+  std::uint64_t bcast = 0;  ///< max over ranks, across the broadcast phase
+};
+
+/// Allocations counted across `msgs` all-to-all sends on rank 0's thread
+/// (plus the flush/drain/forward work they trigger), then across `msgs`
+/// broadcasts per rank on every rank's thread (origins and relays), each
+/// after a warm-up pass that populates the pools and grows every buffer to
+/// its working size.
+steady_allocs steady_state_allocs(int msgs) {
+  steady_allocs out;
   const topology topo(2, 2);
   ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::nlnr);
@@ -268,7 +313,7 @@ std::uint64_t steady_state_allocs(int msgs) {
       all_to_all(msgs);
       mb.flush();
       mb.poll();
-      allocs = w.count();
+      out.p2p = w.count();
     } else {
       all_to_all(msgs);
       mb.flush();
@@ -276,20 +321,51 @@ std::uint64_t steady_state_allocs(int msgs) {
     }
     mb.wait_empty();
     c.barrier();
+
+    // Broadcasts: every rank originates along the scheme's tree, and the
+    // tree's gateways relay the other ranks' copies.
+    auto broadcasts = [&](int rounds) {
+      for (int i = 0; i < rounds; ++i) {
+        mb.send_bcast(static_cast<std::uint64_t>(i));
+      }
+    };
+    broadcasts(msgs);
+    mb.wait_empty();
+    c.barrier();
+    std::uint64_t mine = 0;
+    {
+      hotpath_alloc::window w;
+      broadcasts(msgs);
+      mb.flush();
+      mb.poll();
+      mine = w.count();
+    }
+    mb.wait_empty();
+    const std::uint64_t most = c.allreduce(mine, sim::op_max{});
+    if (c.rank() == 0) out.bcast = most;
   });
-  return allocs;
+  return out;
 }
 
 TEST(SteadyState, WarmHotPathIsAllocationFreePerMessage) {
   constexpr int kMsgs = 2000;
-  const std::uint64_t allocs = steady_state_allocs(kMsgs);
+  const steady_allocs allocs = steady_state_allocs(kMsgs);
   const std::uint64_t sends = static_cast<std::uint64_t>(kMsgs) * 3;  // 3 peers
   // Residual allocations (mail_slot deque block churn, occasional pool
   // refills when traffic is momentarily asymmetric) must be noise, not
   // per-message cost: well under 2% of messages sent. Before pooling and
   // in-place serialization this ratio was > 1.
-  EXPECT_LT(static_cast<double>(allocs), 0.02 * static_cast<double>(sends))
-      << allocs << " allocations across " << sends << " sends";
+  EXPECT_LT(static_cast<double>(allocs.p2p),
+            0.02 * static_cast<double>(sends))
+      << allocs.p2p << " allocations across " << sends << " sends";
+  // The same bound for broadcasts, each a message to each of the 3 peers,
+  // on the busiest rank: fan-out reads the world's route table, so neither
+  // originating nor relaying a broadcast allocates. (Reading a fresh
+  // std::vector of hops per broadcast put this count near 10,000.)
+  EXPECT_LT(static_cast<double>(allocs.bcast),
+            0.02 * static_cast<double>(sends))
+      << allocs.bcast << " allocations across " << kMsgs
+      << " broadcasts to 3 peers";
 }
 
 // -------------------------------------- pooling vs in-flight spans (chaos)

@@ -1,5 +1,6 @@
 // Tests for the routing schemes (routing/): route correctness, the paper's
-// exchange-phase structure, channel/partner formulas, and broadcast trees.
+// exchange-phase structure, channel/partner formulas, broadcast trees, and
+// the per-world route table comm_world builds from them.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/ygm.hpp"
 #include "routing/router.hpp"
 
 namespace {
@@ -185,6 +187,29 @@ TEST_P(RoutingAllPairs, RemotePartnerCountMatchesEnumeration) {
     ASSERT_EQ(actual, expect)
         << ygm::routing::to_string(pc.kind) << " rank=" << rank;
   }
+}
+
+TEST_P(RoutingAllPairs, WorldRouteTableMatchesRouter) {
+  // comm_world tabulates this rank's answers once; every entry must be the
+  // router's own answer, on every rank.
+  const auto& pc = GetParam();
+  const topology t(pc.nodes, pc.cores);
+  const router r(pc.kind, t);
+  ygm::launch({.nranks = t.num_ranks()}, [&](ygm::mpisim::comm& c) {
+    const ygm::core::comm_world world(c, t, pc.kind);
+    const int me = c.rank();
+    for (int d = 0; d < t.num_ranks(); ++d) {
+      if (d != me) {
+        EXPECT_EQ(world.next_hop(d), r.next_hop(me, d)) << d;
+      }
+    }
+    for (int origin = 0; origin < t.num_ranks(); ++origin) {
+      const auto hops = world.bcast_next_hops(origin);
+      EXPECT_EQ(std::vector<int>(hops.begin(), hops.end()),
+                r.bcast_next_hops(me, origin))
+          << "rank " << me << " origin " << origin;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,8 +9,10 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -251,6 +253,43 @@ void serialize(Archive& ar, free_fn_type& v) {
 TEST(Archive, RoundTripsUserTypeWithAdlFreeSerialize) {
   expect_roundtrip(other_ns::free_fn_type{5, "adl"});
 }
+
+// ------------------------------------------------------ bitwise detection
+//
+// is_bitwise_v holds exactly where the archives write the sizeof(T) object
+// bytes. A serialize() of either kind takes a trivially copyable type out.
+
+struct counted_member {
+  std::uint32_t a = 0;
+  template <class Archive>
+  void serialize(Archive& ar) {
+    ar & a;
+  }
+};
+
+namespace other_ns {
+
+struct counted_free {
+  std::uint32_t a = 0;
+};
+
+template <class Archive>
+void serialize(Archive& ar, counted_free& v) {
+  ar & v.a;
+}
+
+}  // namespace other_ns
+
+static_assert(std::is_trivially_copyable_v<counted_member> &&
+              std::is_trivially_copyable_v<other_ns::counted_free>);
+static_assert(ygm::ser::is_bitwise_v<std::uint64_t>);
+static_assert(ygm::ser::is_bitwise_v<color>);
+static_assert(ygm::ser::is_bitwise_v<edge_msg>);
+static_assert(!ygm::ser::is_bitwise_v<counted_member>);
+static_assert(!ygm::ser::is_bitwise_v<other_ns::counted_free>);
+static_assert(!ygm::ser::is_bitwise_v<std::string>);
+static_assert(!ygm::ser::is_bitwise_v<std::vector<int>>);
+static_assert(!ygm::ser::is_bitwise_v<std::pair<int, int>>);
 
 // --------------------------------------------------------------- errors
 
