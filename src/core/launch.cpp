@@ -67,9 +67,8 @@ struct scoped_run_defaults {
 /// driver does.
 class host_services {
  public:
-  host_services(const std::optional<progress::engine::options>& engine,
-                int telemetry_world) {
-    if (engine) engine_.emplace(*engine, telemetry_world);
+  host_services(bool engine, int telemetry_world) {
+    if (engine) engine_.emplace(telemetry_world);
     live_ = telemetry::live::make_process_services();
   }
 
@@ -86,7 +85,7 @@ std::shared_ptr<const std::vector<int>> world_members(int nranks) {
 
 rank_results run_inproc(
     int nranks, const std::optional<mpisim::chaos_config>& chaos,
-    const std::optional<progress::engine::options>& engine, const rank_fn& fn) {
+    bool engine, const rank_fn& fn) {
   transport::inproc::fabric fab(nranks);
   if (chaos && chaos->enabled()) fab.set_chaos(*chaos);
 
@@ -144,8 +143,8 @@ rank_results run_inproc(
 /// and fold their summary counters into the rank's lane at teardown.
 rank_results run_forked(
     transport::backend_kind backend, const run_options& opts,
-    const std::optional<mpisim::chaos_config>& chaos,
-    const std::optional<progress::engine::options>& engine, const rank_fn& fn) {
+    const std::optional<mpisim::chaos_config>& chaos, bool engine,
+    const rank_fn& fn) {
   return transport::proc::launch(
       backend, opts.nranks, chaos, opts.socket_dir,
       [&](transport::endpoint& ep) {
@@ -178,8 +177,7 @@ rank_results launch_collect(const run_options& opts, const rank_fn& fn) {
       opts.chaos ? opts.chaos : mpisim::chaos_config::from_env();
   const progress::mode pmode =
       opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
-  std::optional<progress::engine::options> engine;
-  if (pmode == progress::mode::engine) engine = opts.engine;
+  const bool engine = pmode == progress::mode::engine;
 
   if (backend == transport::backend_kind::inproc) {
     return run_inproc(opts.nranks, chaos, engine, fn);

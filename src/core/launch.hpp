@@ -18,7 +18,7 @@
 //   trace_sample     YGM_TRACE_SAMPLE    0 (tracing off)
 //   virtual_network  (none)              untimed
 //   credit_bytes     YGM_CREDIT_BYTES    1 MiB per destination (0 = off)
-//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per channel (0 = off)
+//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per peer (0 = off)
 //   sample_ms        YGM_SAMPLE_MS       100 ms live sampler (0 = off)
 //   statusz          YGM_STATUSZ         off (per-process UDS endpoint)
 //
@@ -73,11 +73,10 @@ struct run_options {
   std::string socket_dir{};
 
   /// Progress mode; nullopt defers to YGM_PROGRESS (default polling).
-  /// `engine` starts one progress thread per OS process hosting ranks.
+  /// `engine` starts one progress thread per OS process hosting ranks; its
+  /// idle policy and deferred-delivery ring size are fixed constants
+  /// (docs/PROGRESS.md).
   std::optional<progress::mode> progress_mode{};
-
-  /// Engine tuning (spin/sleep/ring sizing); only read in engine mode.
-  progress::engine::options engine{};
 
   /// Causal-trace sample rate in [0, 1]; nullopt defers to YGM_TRACE_SAMPLE
   /// (default 0). Applied for the duration of the run, restored after.
@@ -95,7 +94,7 @@ struct run_options {
   /// to at least twice their flush capacity so acks stay live.
   std::optional<std::size_t> credit_bytes{};
 
-  /// Channel-level outbound byte cap enforced by the transport backends
+  /// Per-peer outbound byte cap enforced by the transport backends
   /// beneath the credit budget; nullopt defers to YGM_OUTQ_CAP_BYTES
   /// (default 4 MiB). 0 disables the cap.
   std::optional<std::size_t> outq_cap_bytes{};

@@ -125,7 +125,7 @@ class mailbox {
     if (engine_mode_) {
       deferred_ =
           std::make_unique<progress::mpsc_ring<std::vector<std::byte>>>(
-              station_->attached_engine()->opts().ring_slots);
+              progress::deferred_ring_slots);
       pump_->engine_advance = [this](bool inline_deliveries) {
         return engine_advance(inline_deliveries);
       };
@@ -270,7 +270,8 @@ class mailbox {
   /// Nonblocking global-quiescence test (paper TEST_EMPTY). Flushes local
   /// buffers, makes progress, and returns true only once every rank has
   /// stopped producing messages and all hops have been received globally.
-  /// Every rank must keep polling for detection to complete.
+  /// Every rank must keep polling for detection to complete. Called from
+  /// inside a receive callback it only flushes and returns false.
   bool test_empty() {
     auto lk = engine_lock();
     return test_empty_locked();
@@ -300,8 +301,8 @@ class mailbox {
       // rounds, the one window where that is sound (a parked rank produces
       // nothing, so it cannot invalidate a quiescence verdict). The short
       // wait bound keeps the rank self-sufficient (liveness does not
-      // depend on the engine, which may be paused) and feeds the stall
-      // watchdog.
+      // depend on the engine, which may be busy elsewhere) and feeds the
+      // stall watchdog.
       std::unique_lock lk(mx_);
       while (!test_empty_locked()) {
         pump_->parked.store(true, std::memory_order_release);
@@ -732,6 +733,12 @@ class mailbox {
     // reach its own wait_empty, and the detector must not owe its balance
     // to bytes we are sitting on.
     flush_credit_acks(/*force=*/true);
+    // A receive callback's own test_empty() runs inside the drain that
+    // invoked it: this rank is mid-delivery, so it is not quiescent, and a
+    // detector poll here could consume the verdict the outer wait_empty()
+    // is waiting for, leaving this rank one detection epoch ahead of its
+    // peers (a hang once they have left).
+    if (in_exchange_.load(std::memory_order_relaxed)) return false;
     if (quiescence_seen_) {
       // The engine consumed the detector's sticky verdict while we were
       // parked; honor it exactly once.
@@ -811,7 +818,12 @@ class mailbox {
   }
 
   /// Rank thread: execute the delivery callbacks the engine handed off.
+  /// Runs under the exchange claim, like the polling-mode drain, so a
+  /// callback's own poll()/test_empty() cannot start a nested drain: the
+  /// outer frame keeps popping batches.
   bool drain_deferred_locked() {
+    exchange_claim claim(in_exchange_);
+    if (!claim.entered()) return false;
     bool any = false;
     while (auto batch = deferred_->try_pop()) {
       double pushed_us = 0;

@@ -1,5 +1,6 @@
 #include "core/progress.hpp"
 
+#include <chrono>
 #include <cstdlib>
 
 #include "core/comm_world.hpp"
@@ -150,8 +151,7 @@ bool station::service() {
 
 // ----------------------------------------------------------------- engine
 
-engine::engine(options opts, int telemetry_world)
-    : opts_(opts), telemetry_world_(telemetry_world) {
+engine::engine(int telemetry_world) : telemetry_world_(telemetry_world) {
   // Advertise as the live-telemetry driver before make_process_services can
   // run (launch creates the engine first), so the sampler rides this
   // thread's passes instead of starting its own.
@@ -232,6 +232,11 @@ void engine::loop() {
     lane.emplace(*telemetry::global(), telemetry_world_, lane_rank);
   }
 
+  // Idle policy: spin this many passes without work, then sleep between
+  // passes.
+  constexpr int spin_passes = 16;
+  constexpr auto idle_sleep = std::chrono::microseconds(100);
+
   int idle_passes = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     while (auto st = incoming_.try_pop()) {
@@ -239,15 +244,13 @@ void engine::loop() {
     }
 
     bool did_work = false;
-    if (!paused_.load(std::memory_order_acquire)) {
-      for (auto it = stations_.begin(); it != stations_.end();) {
-        if (!(*it)->enabled()) {
-          it = stations_.erase(it);
-          continue;
-        }
-        did_work |= (*it)->service();
-        ++it;
+    for (auto it = stations_.begin(); it != stations_.end();) {
+      if (!(*it)->enabled()) {
+        it = stations_.erase(it);
+        continue;
       }
+      did_work |= (*it)->service();
+      ++it;
     }
     passes_.fetch_add(1, std::memory_order_relaxed);
     // Drive the live sampler from this thread: one due-check per pass, a
@@ -256,8 +259,8 @@ void engine::loop() {
 
     if (did_work) {
       idle_passes = 0;
-    } else if (++idle_passes >= opts_.spin_passes) {
-      std::this_thread::sleep_for(opts_.idle_sleep);
+    } else if (++idle_passes >= spin_passes) {
+      std::this_thread::sleep_for(idle_sleep);
     }
   }
 
@@ -272,8 +275,8 @@ engine* g_engine = nullptr;
 
 engine* current() noexcept { return g_engine; }
 
-engine_scope::engine_scope(engine::options opts, int telemetry_world)
-    : eng_(std::make_unique<engine>(opts, telemetry_world)) {
+engine_scope::engine_scope(int telemetry_world)
+    : eng_(std::make_unique<engine>(telemetry_world)) {
   YGM_CHECK(g_engine == nullptr,
             "a progress engine is already installed in this process");
   g_engine = eng_.get();

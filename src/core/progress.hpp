@@ -57,7 +57,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -291,25 +290,12 @@ class station {
 
 // ----------------------------------------------------------------- engine
 
-/// Engine tuning knobs. Lives at namespace scope (not nested in `engine`)
-/// so it is a complete type with parsed member initializers wherever the
-/// engine constructors spell `= {}` default arguments — GCC defers nested
-/// classes' member initializers until the enclosing class is complete,
-/// which would reject that spelling for a nested aggregate.
-struct engine_options {
-  /// Idle passes before the engine starts sleeping between passes.
-  int spin_passes = 16;
-  /// Sleep between passes once idle (microseconds).
-  std::chrono::microseconds idle_sleep{100};
-  /// Slots in each mailbox's deferred-delivery ring (batches, one per
-  /// engine drain pass).
-  std::size_t ring_slots = 64;
-};
+/// Slots in each mailbox's deferred-delivery ring (batches, one per engine
+/// drain pass).
+inline constexpr std::size_t deferred_ring_slots = 64;
 
 class engine {
  public:
-  using options = engine_options;
-
   /// Monotonic counters, readable from any thread (tests, benches).
   struct counters {
     std::uint64_t passes = 0;         ///< service loop iterations
@@ -324,26 +310,15 @@ class engine {
   /// -1 when the lane would not survive (socket children ship exactly one
   /// lane per rank) — engine counters then fold into the stopping thread's
   /// lane instead.
-  explicit engine(options opts = {}, int telemetry_world = -1);
+  explicit engine(int telemetry_world = -1);
   ~engine();
 
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
 
-  const options& opts() const noexcept { return opts_; }
-
   /// Register a station (thread-safe; lock-free handoff to the engine
   /// loop). The engine holds a reference until the station shuts down.
   void adopt(std::shared_ptr<station> st);
-
-  /// Pause/resume stealing without tearing the thread down (mid-run
-  /// start/stop). Mailboxes stay in engine mode; ranks simply stop getting
-  /// help while paused.
-  void pause() noexcept { paused_.store(true, std::memory_order_release); }
-  void resume() noexcept { paused_.store(false, std::memory_order_release); }
-  bool paused() const noexcept {
-    return paused_.load(std::memory_order_acquire);
-  }
 
   counters stats() const noexcept;
 
@@ -355,10 +330,8 @@ class engine {
   void loop();
   void publish_counters();
 
-  options opts_;
   int telemetry_world_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> steal_attempts_{0};
   std::atomic<std::uint64_t> steals_{0};
@@ -382,7 +355,7 @@ engine* current() noexcept;
 /// engine thread would not survive fork).
 class engine_scope {
  public:
-  explicit engine_scope(engine::options opts = {}, int telemetry_world = -1);
+  explicit engine_scope(int telemetry_world = -1);
   ~engine_scope();
 
   engine_scope(const engine_scope&) = delete;

@@ -65,15 +65,15 @@ status comm::probe(int src, int tag) const {
 std::size_t comm::pending_messages() const { return ep_->pending(); }
 
 void comm::barrier() const {
+  // Dissemination barrier: ceil(log2 P) rounds; in round r every rank sends
+  // an empty token 2^r ahead and waits for the token from 2^r behind.
   telemetry::add(telemetry::fast_counter::mpi_collectives);
   const std::uint64_t seq = coll_seq_++;
-  ep_->barrier(*members_, rank_, ctx_coll_, coll_tag(seq, 0));
-}
-
-std::uint64_t comm::allreduce_sum(std::uint64_t v) const {
-  telemetry::add(telemetry::fast_counter::mpi_collectives);
-  const std::uint64_t seq = coll_seq_++;
-  return ep_->allreduce_sum(v, *members_, rank_, ctx_coll_, coll_tag(seq, 0));
+  const int p = size();
+  for (int k = 1, round = 0; k < p; k <<= 1, ++round) {
+    coll_send_bytes((rank_ + k) % p, coll_tag(seq, round), {});
+    (void)coll_recv_bytes((rank_ - k + p) % p, coll_tag(seq, round));
+  }
 }
 
 std::uint64_t comm::derive_context(std::uint64_t seq, std::uint64_t group,

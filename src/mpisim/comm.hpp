@@ -7,9 +7,10 @@
 // MPI + cereal in the paper.
 //
 // comm is backend-agnostic: all traffic flows through a
-// transport::endpoint (inproc threads or multi-process sockets), and the
-// collective entry points delegate to the endpoint's collective hooks so a
-// backend with a native fabric can specialize them.
+// transport::endpoint (inproc threads, or one process per rank over sockets
+// or shared memory), and every collective here is built from the
+// endpoint's point-to-point messages on the communicator's collective
+// context.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +98,8 @@ class comm {
   // communicator (the usual MPI contract). They run on a dedicated context
   // so they never interfere with user point-to-point traffic.
 
-  /// Dissemination barrier, O(log P) rounds. Delegates to the transport's
-  /// barrier hook.
+  /// Dissemination barrier, O(log P) rounds.
   void barrier() const;
-
-  /// Global sum of a u64, via the transport's allreduce hook (the shape the
-  /// mailbox termination detector consumes).
-  std::uint64_t allreduce_sum(std::uint64_t v) const;
 
   /// Binomial-tree broadcast of a serializable value.
   template <class T>

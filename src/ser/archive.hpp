@@ -141,6 +141,7 @@ class iarchive {
 
   void read_raw(void* data, std::size_t n) {
     YGM_CHECK(remaining() >= n, "truncated archive");
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(data, p_, n);
     p_ += n;
   }

@@ -1,13 +1,12 @@
 #include "transport/endpoint.hpp"
 
+#include <time.h>
+
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
-#include <atomic>
-
 #include "common/assert.hpp"
-#include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
-#include "ser/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ygm::transport {
@@ -65,104 +64,72 @@ void set_outq_cap_bytes(std::size_t cap) noexcept {
   g_outq_cap.store(cap, std::memory_order_relaxed);
 }
 
+double monotonic_seconds() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 void endpoint::post(int dest, envelope&& e) {
+  YGM_ASSERT(dest >= 0 && dest < nranks_);
   stats_.posts.fetch_add(1, std::memory_order_relaxed);
   stats_.post_bytes.fetch_add(e.payload.size(), std::memory_order_relaxed);
-  peer(dest).post(std::move(e));
+  send(dest, std::move(e));
 }
 
-void endpoint::barrier(const std::vector<int>& members, int me,
-                       std::uint64_t ctx, int base_tag) {
-  // Dissemination barrier: ceil(log2 P) rounds; in round r every rank sends
-  // a token 2^r ahead and waits for the token from 2^r behind. Token sends
-  // count as mpi.sends/recvs exactly like the comm-layer collectives they
-  // replace, so metric totals are backend-invariant.
-  const int p = static_cast<int>(members.size());
-  int round = 0;
-  for (int k = 1; k < p; k <<= 1, ++round) {
-    const int dest = (me + k) % p;
-    const int src = (me - k % p + p) % p;
-    telemetry::add(telemetry::fast_counter::mpi_sends);
-    post(members[static_cast<std::size_t>(dest)],
-         envelope{me, base_tag + round, ctx, {}});
-    envelope e = recv_match(src, base_tag + round, ctx);
-    telemetry::add(telemetry::fast_counter::mpi_recvs);
-    telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
-  }
-}
+// The receive loop every backend shares. Nonblocking calls pump first, so
+// they see whatever has arrived; blocking calls match, and on a miss let the
+// backend wait (bounded — it pumps as it waits) before matching again. Each
+// match ticks the slot's chaos clock, which is how delayed messages mature.
+// A blocking call draws one chaos stall, however many times it waits.
 
-namespace {
-
-std::uint64_t decode_u64(const envelope& e) {
-  return ser::from_bytes<std::uint64_t>({e.payload.data(), e.payload.size()});
-}
-
-}  // namespace
-
-std::uint64_t endpoint::allreduce_sum(std::uint64_t v,
-                                      const std::vector<int>& members, int me,
-                                      std::uint64_t ctx, int base_tag) {
-  const int p = static_cast<int>(members.size());
-  const auto send_u64 = [&](std::uint64_t x, int dest_group, int tag) {
-    auto buf = core::buffer_pool::local().acquire();
-    ser::append_bytes(x, buf);
-    telemetry::add(telemetry::fast_counter::mpi_sends);
-    telemetry::add(telemetry::fast_counter::mpi_send_bytes, buf.size());
-    post(members[static_cast<std::size_t>(dest_group)],
-         envelope{me, tag, ctx, std::move(buf)});
-  };
-  const auto recv_u64 = [&](int src_group, int tag) {
-    envelope e = recv_match(src_group, tag, ctx);
-    telemetry::add(telemetry::fast_counter::mpi_recvs);
-    telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
-    const std::uint64_t x = decode_u64(e);
-    core::buffer_pool::local().release(std::move(e.payload));
-    return x;
-  };
-
-  // Binomial reduce to group rank 0 ...
-  std::uint64_t acc = v;
-  int mask = 1;
-  while (mask < p) {
-    if ((me & mask) == 0) {
-      const int peer_rank = me | mask;
-      if (peer_rank < p) acc += recv_u64(peer_rank, base_tag);
-    } else {
-      send_u64(acc, me & ~mask, base_tag);
-      break;
+envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
+  slot_->maybe_stall();
+  match_miss miss{"recv"};
+  for (;;) {
+    if (auto e = slot_->try_recv_match(src, tag, ctx, &miss)) {
+      return std::move(*e);
     }
-    mask <<= 1;
+    wait(miss);
   }
-  // ... then binomial broadcast of the total back out (tag block +1 keeps
-  // the two phases unambiguous even at P = 2).
-  mask = 1;
-  while (mask < p) mask <<= 1;
-  if (me != 0) {
-    int m = 1;
-    while ((me & m) == 0) m <<= 1;
-    acc = recv_u64(me & ~m, base_tag + 1);
-    mask = m;
-  }
-  for (int m = mask >> 1; m > 0; m >>= 1) {
-    if ((me & (m - 1)) == 0 && (me | m) < p && (me & m) == 0) {
-      send_u64(acc, me | m, base_tag + 1);
-    }
-  }
-  return acc;
 }
 
-void endpoint::publish_stats(std::uint64_t iprobe_calls,
-                             std::uint64_t iprobe_draws,
-                             std::uint64_t iprobe_misses) const {
+std::optional<envelope> endpoint::try_recv_match(int src, int tag,
+                                                 std::uint64_t ctx) {
+  pump(/*from_engine=*/false);
+  return slot_->try_recv_match(src, tag, ctx);
+}
+
+std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
+  pump(/*from_engine=*/false);
+  return slot_->iprobe(src, tag, ctx);
+}
+
+status endpoint::probe(int src, int tag, std::uint64_t ctx) {
+  slot_->maybe_stall();
+  match_miss miss{"probe"};
+  for (;;) {
+    if (auto st = slot_->try_probe(src, tag, ctx, &miss)) return *st;
+    wait(miss);
+  }
+}
+
+std::size_t endpoint::pending() {
+  pump(/*from_engine=*/false);
+  return slot_->pending();
+}
+
+void endpoint::publish_stats() const {
   const std::string prefix = std::string("transport.") +
                              std::string(to_string(kind())) + ".";
+  const auto probes = slot_->probe_stats();
   telemetry::count(prefix + "posts",
                    stats_.posts.load(std::memory_order_relaxed));
   telemetry::count(prefix + "post_bytes",
                    stats_.post_bytes.load(std::memory_order_relaxed));
-  telemetry::count(prefix + "iprobe_calls", iprobe_calls);
-  telemetry::count(prefix + "iprobe_draws", iprobe_draws);
-  telemetry::count(prefix + "iprobe_misses", iprobe_misses);
+  telemetry::count(prefix + "iprobe_calls", probes.iprobe_calls);
+  telemetry::count(prefix + "iprobe_draws", probes.draws);
+  telemetry::count(prefix + "iprobe_misses", probes.misses);
 }
 
 }  // namespace ygm::transport

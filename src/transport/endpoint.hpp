@@ -1,30 +1,36 @@
-// The transport substrate interface: what mail_slot, comm, and the runtime
-// need from a communication backend, and nothing more.
+// The transport substrate interface: what comm and the runtime need from a
+// communication backend, and nothing more.
 //
-// One `endpoint` object per rank per run. It owns the rank's receive side
-// (a mail_slot matching engine) and a per-peer send `channel` for every
-// other rank. The contract (docs/TRANSPORT.md):
+// One `endpoint` object per rank per run. The base class owns everything
+// backend-independent: the send-side statistics, and the receive side — a
+// mail_slot matching engine driven by one pump-then-match loop for every
+// backend. A backend supplies four hooks (docs/TRANSPORT.md):
 //
-//   * post() is eager but *bounded*: the payload is framed and either
-//     delivered (inproc) or queued on the peer channel (socket). Each
-//     channel enforces an outbound byte cap (outq_cap_bytes(), YGM_OUTQ_CAP
-//     _BYTES, 0 disables): at the cap the socket backend blocks acceptance
-//     until the wire drains (pumping its own receive side meanwhile, so two
-//     mutually-flooding ranks cannot deadlock), and the inproc backend
-//     applies a bounded wait on the destination slot's queued bytes. The
-//     payload vector is taken by value and recycled through
-//     core::buffer_pool when the bytes are off this rank's hands, so the
-//     zero-copy packet discipline survives the seam.
-//   * per-(source, context) delivery order is FIFO (MPI non-overtaking);
-//     cross-source order is unspecified.
-//   * recv/probe semantics are mail_slot's, chaos hooks included: both
-//     backends share the engine, so a chaos seed reproduces the same fault
-//     pattern on either.
-//   * collective hooks (barrier, allreduce_sum) exist so a backend with a
-//     native collective fabric can override them; the defaults run
-//     dissemination/binomial algorithms over post/recv on a caller-supplied
-//     context + tag block. comm::barrier and the termination detector's
-//     global sum delegate here.
+//   * send()        how bytes leave. Eager but *bounded*: the payload is
+//                   framed and either delivered (inproc) or queued toward
+//                   the peer. Each backend enforces an outbound byte cap
+//                   (outq_cap_bytes(), YGM_OUTQ_CAP_BYTES, 0 disables): at
+//                   the cap the socket and shm backends block acceptance
+//                   until the peer drains (pumping their own receive side
+//                   meanwhile, so two mutually-flooding ranks cannot
+//                   deadlock), and the inproc backend applies a bounded
+//                   wait on the destination slot's queued bytes. The
+//                   payload vector is taken by value and recycled through
+//                   core::buffer_pool when the bytes are off this rank's
+//                   hands, so the zero-copy packet discipline survives the
+//                   seam.
+//   * pump()        how arrived bytes reach the slot, without blocking.
+//   * wait()        how the backend sleeps a *bounded* interval for more,
+//                   after a blocking receive or probe failed to match. Every
+//                   blocking transport wait is this one hook, so an abort is
+//                   noticed in bounded time.
+//   * abort_world() how a failing rank poisons the rest of the world.
+//
+// Per-(source, context) delivery order is FIFO (MPI non-overtaking);
+// cross-source order is unspecified. Matching and chaos semantics are
+// mail_slot's, so a chaos seed reproduces the same fault pattern on every
+// backend. Collectives are not the transport's business: mpisim::comm
+// builds them from point-to-point messages.
 //
 // Backends today: transport/inproc/ (threads as ranks, one process),
 // transport/socket/ (one process per rank over Unix-domain sockets), and
@@ -36,11 +42,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "transport/envelope.hpp"
+#include "transport/mail_slot.hpp"
 #include "transport/types.hpp"
 
 namespace ygm::transport {
@@ -62,7 +69,7 @@ std::optional<backend_kind> backend_from_name(std::string_view name) noexcept;
 /// silently falling back to inproc would fake multi-process coverage).
 backend_kind backend_from_env();
 
-/// Channel-level outbound byte cap, the transport-layer floor under the
+/// Per-peer outbound byte cap, the transport-layer floor under the
 /// mailbox credit budget (docs/BACKPRESSURE.md). Resolution: launch
 /// override (run_options::outq_cap_bytes via set_outq_cap_bytes) >
 /// YGM_OUTQ_CAP_BYTES > 4 MiB default; 0 disables the cap and restores the
@@ -72,17 +79,6 @@ std::size_t outq_cap_bytes() noexcept;
 /// Override the cap process-wide (launch plumbing; set before worlds come
 /// up so forked socket children inherit it).
 void set_outq_cap_bytes(std::size_t cap) noexcept;
-
-/// One rank's view of the path toward one peer. post() frames the envelope
-/// and moves it toward the peer's mail_slot. It is eager below the
-/// channel's outbound cap; at the cap a slow peer stalls the caller
-/// (bounded-memory semantics — see outq_cap_bytes()) instead of growing
-/// the queue without bound.
-class channel {
- public:
-  virtual ~channel() = default;
-  virtual void post(envelope&& e) = 0;
-};
 
 /// Per-endpoint transport counters, published into the owning rank's
 /// telemetry lane at endpoint teardown under "transport.<backend>.*" (plus
@@ -95,19 +91,23 @@ struct endpoint_stats {
   std::atomic<std::uint64_t> post_bytes{0};  ///< payload bytes posted
 };
 
+/// Seconds on CLOCK_MONOTONIC: the clock behind wtime() and the backends'
+/// handshake and teardown deadlines.
+double monotonic_seconds() noexcept;
+
 class endpoint {
  public:
   virtual ~endpoint() = default;
 
-  virtual backend_kind kind() const noexcept = 0;
-  virtual int world_rank() const noexcept = 0;
-  virtual int world_size() const noexcept = 0;
+  backend_kind kind() const noexcept { return kind_; }
+  int world_rank() const noexcept { return rank_; }
+  int world_size() const noexcept { return nranks_; }
 
-  /// The send channel toward `dest` (world rank; dest == world_rank() is
-  /// valid and loops back into this rank's own slot).
-  virtual channel& peer(int dest) = 0;
+  /// Seconds since this world's transport came up (MPI_Wtime deltas).
+  double wtime() const { return monotonic_seconds() - epoch_; }
 
-  /// Convenience: frame-and-send toward a world rank, with stats.
+  /// Frame-and-send toward a world rank, with stats. dest == world_rank()
+  /// is valid and loops back into this rank's own slot.
   void post(int dest, envelope&& e);
 
   // ------------------------------------------------- receive side (own slot)
@@ -116,61 +116,74 @@ class endpoint {
   // endpoint only matches, it does not translate ranks.
 
   /// Blocking matched receive; throws ygm::error once the world aborts.
-  virtual envelope recv_match(int src, int tag, std::uint64_t ctx) = 0;
-  virtual std::optional<envelope> try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) = 0;
+  envelope recv_match(int src, int tag, std::uint64_t ctx);
+  std::optional<envelope> try_recv_match(int src, int tag, std::uint64_t ctx);
   /// Nonblocking probe; the one operation chaos may turn into a false
   /// negative.
-  virtual std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) = 0;
+  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx);
   /// Blocking probe (miss-immune, like recv).
-  virtual status probe(int src, int tag, std::uint64_t ctx) = 0;
+  status probe(int src, int tag, std::uint64_t ctx);
   /// Queued unreceived messages on this rank, across all contexts.
-  virtual std::size_t pending() = 0;
+  std::size_t pending();
 
-  // ------------------------------------------------------------ world hooks
-
-  /// Seconds since this world's transport came up (MPI_Wtime deltas).
-  virtual double wtime() const = 0;
+  /// Donated progress: called from the progress engine thread while ranks
+  /// compute. One pump() that never waits for the rank's own I/O lock;
+  /// returns true if any bytes moved.
+  bool progress_hook() { return pump(/*from_engine=*/true); }
 
   /// Poison the world: every rank blocked in transport wakes with
   /// ygm::error. Called when a rank function throws so the rest of the
   /// world does not deadlock.
   virtual void abort_world() = 0;
 
-  /// Donated progress: called from the progress engine thread while ranks
-  /// compute. A backend with wire state to service (the socket backend's
-  /// send queues and receive pump) overrides this to advance it without
-  /// blocking; returns true if any bytes moved. The default no-op is
-  /// correct for backends whose post() completes delivery synchronously
-  /// (inproc). Overrides MUST be safe to call concurrently with the owning
-  /// rank's own endpoint calls — try-lock and bail beats blocking the rank.
-  virtual bool progress_hook() { return false; }
-
-  // ------------------------------------------------------- collective hooks
-  //
-  // `members` maps group rank -> world rank, `me` is this rank's group
-  // rank; rounds use tags base_tag .. base_tag+63 on context `ctx` (the
-  // caller's collective plane). Defaults below are backend-agnostic p2p
-  // algorithms; a backend with a native fabric may override.
-
-  /// Dissemination barrier, O(log P) rounds.
-  virtual void barrier(const std::vector<int>& members, int me,
-                       std::uint64_t ctx, int base_tag);
-
-  /// Binomial reduce-to-zero plus broadcast of a u64 sum (the shape the
-  /// termination detector's global counter exchange needs).
-  virtual std::uint64_t allreduce_sum(std::uint64_t v,
-                                      const std::vector<int>& members, int me,
-                                      std::uint64_t ctx, int base_tag);
-
  protected:
-  endpoint_stats stats_;
+  /// `slot` is this rank's receive slot; it must outlive the endpoint's
+  /// use of it (a backend may pass a member it owns).
+  endpoint(backend_kind kind, int rank, int nranks, mail_slot& slot)
+      : rank_(rank), nranks_(nranks), slot_(&slot), kind_(kind) {}
+
+  /// The lock a pump takes on a backend's I/O state: the rank blocks for
+  /// it; the engine only tries, so it never stalls the rank mid-operation.
+  static std::unique_lock<std::mutex> pump_lock(std::mutex& io,
+                                                bool from_engine) {
+    if (from_engine) return std::unique_lock(io, std::try_to_lock);
+    return std::unique_lock(io);
+  }
 
   /// Fold stats_ + the slot's probe counters into this thread's telemetry
   /// lane under "transport.<backend>." — backends call this from their
   /// destructor, on the rank's own thread, before the rank lane unbinds.
-  void publish_stats(std::uint64_t iprobe_calls, std::uint64_t iprobe_draws,
-                     std::uint64_t iprobe_misses) const;
+  void publish_stats() const;
+
+  const int rank_;
+  const int nranks_;
+  mail_slot* const slot_;
+  /// monotonic_seconds() at which wtime() reads zero. Backends restart it
+  /// once their world is up.
+  double epoch_ = monotonic_seconds();
+
+ private:
+  // ------------------------------------------------------- backend hooks
+
+  /// Move one envelope toward `dest` (world rank, possibly this rank).
+  virtual void send(int dest, envelope&& e) = 0;
+
+  /// Move bytes that have arrived into the slot (and push queued outbound
+  /// bytes) without blocking. With `from_engine` set the caller is the
+  /// progress engine: skip the pass rather than wait for the rank. Must be
+  /// safe to call concurrently with the rank's own endpoint calls. Returns
+  /// true if any bytes moved.
+  virtual bool pump(bool from_engine) = 0;
+
+  /// A blocking receive or probe found no match: wait, for a bounded
+  /// interval, for something that could change that (new bytes, an abort,
+  /// or — with miss.delayed — just time for a chaos delay to age). The
+  /// receive loop then matches again. Throws when no message can ever
+  /// arrive.
+  virtual void wait(const match_miss& miss) = 0;
+
+  const backend_kind kind_;
+  endpoint_stats stats_;
 };
 
 }  // namespace ygm::transport

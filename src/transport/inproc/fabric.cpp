@@ -14,7 +14,6 @@ fabric::fabric(int nranks) {
   for (int i = 0; i < nranks; ++i) {
     slots_.push_back(std::make_unique<mail_slot>());
   }
-  epoch_ = std::chrono::steady_clock::now();
 }
 
 void fabric::set_chaos(const chaos_config& cfg) {
@@ -29,11 +28,6 @@ mail_slot& fabric::slot(int world_rank) {
   return *slots_[static_cast<std::size_t>(world_rank)];
 }
 
-double fabric::wtime() const {
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(now - epoch_).count();
-}
-
 void fabric::abort_all() {
   bool expected = false;
   if (aborted_.compare_exchange_strong(expected, true)) {
@@ -42,20 +36,19 @@ void fabric::abort_all() {
 }
 
 endpoint::endpoint(fabric& f, int rank)
-    : fabric_(&f), rank_(rank), slot_(&f.slot(rank)) {
-  channels_.reserve(static_cast<std::size_t>(f.size()));
-  for (int d = 0; d < f.size(); ++d) channels_.emplace_back(this, d);
+    : transport::endpoint(backend_kind::inproc, rank, f.size(), f.slot(rank)),
+      fabric_(&f) {
+  epoch_ = f.epoch();
 }
 
 endpoint::~endpoint() {
-  const auto probes = slot_->probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
+  publish_stats();
   telemetry::count("transport.inproc.outq_bytes", outq_peak_bytes_);
   telemetry::count("transport.inproc.outq_stalls", outq_stalls_);
   telemetry::count("transport.inproc.outq_overflows", outq_overflows_);
 }
 
-void endpoint::post_local(int dest, envelope&& e) {
+void endpoint::send(int dest, envelope&& e) {
   mail_slot& dst = fabric_->slot(dest);
   const std::size_t cap = transport::outq_cap_bytes();
   // Self-delivery never waits: the only thread that could drain this slot
@@ -77,31 +70,13 @@ void endpoint::post_local(int dest, envelope&& e) {
   dst.deliver(std::move(e));
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < world_size());
-  return channels_[static_cast<std::size_t>(dest)];
+void endpoint::wait(const match_miss& miss) {
+  // Bounded so every blocking wait returns to the receive loop: 50 us while
+  // a chaos-delayed match needs match attempts to mature, else 10 ms.
+  slot_->wait_for_delivery(miss.deliveries,
+                           miss.delayed ? std::chrono::microseconds(50)
+                                        : std::chrono::milliseconds(10));
 }
-
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  return slot_->recv_match(src, tag, ctx);
-}
-
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  return slot_->try_recv_match(src, tag, ctx);
-}
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  return slot_->iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  return slot_->probe(src, tag, ctx);
-}
-
-std::size_t endpoint::pending() { return slot_->pending(); }
-
-double endpoint::wtime() const { return fabric_->wtime(); }
 
 void endpoint::abort_world() { fabric_->abort_all(); }
 

@@ -1,6 +1,7 @@
 #include "transport/mail_slot.hpp"
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -30,11 +31,6 @@ std::uint64_t stream_key(int src, std::uint64_t ctx) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) ^
          splitmix64(ctx);
 }
-
-/// How long a blocked receiver waits per clock tick while a matching message
-/// is chaos-delayed. Small enough that delays mature quickly, large enough
-/// to avoid a hot spin.
-constexpr auto kDelayedWait = std::chrono::microseconds(50);
 
 }  // namespace
 
@@ -79,56 +75,44 @@ void mail_slot::deliver(envelope&& e) {
     }
     payload_bytes_.fetch_add(e.payload.size(), std::memory_order_relaxed);
     q_.push_back(queued{std::move(e), visible_at});
+    ++deliveries_;
   }
   cv_.notify_all();
 }
 
-mail_slot::match_result mail_slot::find_match_locked(
-    int src, int tag, std::uint64_t ctx) const {
+std::size_t mail_slot::match_locked(int src, int tag, std::uint64_t ctx,
+                                    match_miss* miss) {
+  YGM_CHECK(!aborted_,
+            miss == nullptr
+                ? std::string("transport world aborted")
+                : std::string("transport world aborted while blocked in ") +
+                      miss->op);
+  ++clock_;
   bool delayed = false;
+  std::size_t found = npos;
   for (std::size_t i = 0; i < q_.size(); ++i) {
     if (!matches(q_[i].env, src, tag, ctx)) continue;
-    if (q_[i].visible_at <= clock_) return {i, delayed};
+    if (q_[i].visible_at <= clock_) {
+      found = i;
+      break;
+    }
     delayed = true;
   }
-  return {npos, delayed};
-}
-
-envelope mail_slot::recv_match(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
-  std::unique_lock lock(mtx_);
-  for (;;) {
-    YGM_CHECK(!aborted_, "transport world aborted while blocked in recv");
-    tick_locked();
-    const auto m = find_match_locked(src, tag, ctx);
-    if (m.index != npos) {
-      envelope e = std::move(q_[m.index].env);
-      q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(m.index));
-      payload_bytes_.fetch_sub(e.payload.size(), std::memory_order_relaxed);
-      return e;
-    }
-    // A delayed match matures with this rank's clock, which only advances
-    // here — wake up periodically to age it instead of waiting for a
-    // notify that may never come.
-    if (m.delayed_match) {
-      cv_.wait_for(lock, kDelayedWait);
-    } else {
-      cv_.wait(lock);
-    }
+  if (miss != nullptr) {
+    miss->delayed = delayed;
+    miss->deliveries = deliveries_;
   }
+  return found;
 }
 
 std::optional<envelope> mail_slot::try_recv_match(int src, int tag,
                                                   std::uint64_t ctx,
-                                                  bool* delayed_match) {
+                                                  match_miss* miss) {
   std::lock_guard lock(mtx_);
-  YGM_CHECK(!aborted_, "transport world aborted");
-  tick_locked();
-  const auto m = find_match_locked(src, tag, ctx);
-  if (delayed_match != nullptr) *delayed_match = m.delayed_match;
-  if (m.index == npos) return std::nullopt;
-  envelope e = std::move(q_[m.index].env);
-  q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(m.index));
+  const std::size_t i = match_locked(src, tag, ctx, miss);
+  if (i == npos) return std::nullopt;
+  envelope e = std::move(q_[i].env);
+  q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(i));
   payload_bytes_.fetch_sub(e.payload.size(), std::memory_order_relaxed);
   return e;
 }
@@ -136,11 +120,9 @@ std::optional<envelope> mail_slot::try_recv_match(int src, int tag,
 std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
   maybe_stall();
   std::lock_guard lock(mtx_);
-  YGM_CHECK(!aborted_, "transport world aborted");
-  tick_locked();
+  const std::size_t i = match_locked(src, tag, ctx, nullptr);
   ++iprobe_calls_;
-  const auto m = find_match_locked(src, tag, ctx);
-  if (m.index == npos) return std::nullopt;
+  if (i == npos) return std::nullopt;
   if (chaos_.probe_misses_active() &&
       misses_ < chaos_.max_consecutive_misses) {
     // Draw on a counter of *eligible* probes (matchable message present),
@@ -158,39 +140,24 @@ std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
     }
   }
   misses_ = 0;
-  const envelope& e = q_[m.index].env;
+  const envelope& e = q_[i].env;
   return status{e.src, e.tag, e.payload.size()};
 }
 
 std::optional<status> mail_slot::try_probe(int src, int tag, std::uint64_t ctx,
-                                           bool* delayed_match) {
+                                           match_miss* miss) {
   std::lock_guard lock(mtx_);
-  YGM_CHECK(!aborted_, "transport world aborted");
-  tick_locked();
-  const auto m = find_match_locked(src, tag, ctx);
-  if (delayed_match != nullptr) *delayed_match = m.delayed_match;
-  if (m.index == npos) return std::nullopt;
-  const envelope& e = q_[m.index].env;
+  const std::size_t i = match_locked(src, tag, ctx, miss);
+  if (i == npos) return std::nullopt;
+  const envelope& e = q_[i].env;
   return status{e.src, e.tag, e.payload.size()};
 }
 
-status mail_slot::probe(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
+void mail_slot::wait_for_delivery(std::uint64_t seen,
+                                  std::chrono::microseconds timeout) {
   std::unique_lock lock(mtx_);
-  for (;;) {
-    YGM_CHECK(!aborted_, "transport world aborted while blocked in probe");
-    tick_locked();
-    const auto m = find_match_locked(src, tag, ctx);
-    if (m.index != npos) {
-      const envelope& e = q_[m.index].env;
-      return status{e.src, e.tag, e.payload.size()};
-    }
-    if (m.delayed_match) {
-      cv_.wait_for(lock, kDelayedWait);
-    } else {
-      cv_.wait(lock);
-    }
-  }
+  cv_.wait_for(lock, timeout,
+               [&] { return deliveries_ != seen || aborted_; });
 }
 
 std::size_t mail_slot::pending() const {

@@ -1,13 +1,15 @@
 // Per-rank incoming-message queue with MPI-style matching.
 //
-// This is the matching engine both transport backends share: the inproc
-// backend delivers into it from sender threads, the socket backend delivers
-// into it from its progress pump as frames complete. Keeping one engine
+// This is the matching engine every transport backend shares: the inproc
+// backend delivers into it from sender threads, the socket and shm backends
+// deliver into it from their pumps as frames complete. Keeping one engine
 // keeps the matching semantics — and the chaos fault patterns, which hash
-// from slot-local state — bitwise identical across backends.
+// from slot-local state — bitwise identical across backends. Matching never
+// blocks here; the blocking receive loop is transport::endpoint's.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -20,6 +22,14 @@
 #include "transport/types.hpp"
 
 namespace ygm::transport {
+
+/// What one failed match of a blocking receive or probe saw. The endpoint's
+/// receive loop hands it from the slot to the backend's wait() hook.
+struct match_miss {
+  const char* op = "recv";  ///< "recv" or "probe": names the call in errors
+  bool delayed = false;     ///< a matching message is queued but chaos-delayed
+  std::uint64_t deliveries = 0;  ///< the slot's delivery count at the match
+};
 
 /// One rank's incoming mailbox. Senders call deliver(); the owning rank
 /// matches messages by (source, tag, context), with any_source/any_tag
@@ -36,8 +46,8 @@ namespace ygm::transport {
 /// (seed, rank, source, context, stream index), so a seed reproduces the
 /// same fault pattern for the same message streams.
 ///
-/// abort() poisons the slot so that a rank blocked in recv/probe wakes up
-/// and throws instead of deadlocking when another rank dies with an
+/// abort() poisons the slot so that a rank waiting on it wakes up and its
+/// next match throws instead of deadlocking when another rank dies with an
 /// exception.
 class mail_slot {
  public:
@@ -45,19 +55,11 @@ class mail_slot {
   /// pump).
   void deliver(envelope&& e);
 
-  /// Blocking matched receive; removes and returns the first match.
-  /// Throws ygm::error if the world has been aborted. Only usable when
-  /// deliverers run concurrently with the receiver (inproc backend); a
-  /// single-threaded backend drives try_recv_match from its progress loop
-  /// instead.
-  envelope recv_match(int src, int tag, std::uint64_t ctx);
-
-  /// Nonblocking matched receive. When `delayed_match` is non-null it is
-  /// set to true iff a matching message exists that is merely
-  /// chaos-delayed — a polling backend uses that to tick the clock promptly
-  /// (maturing the delay) instead of sleeping a full poll interval.
+  /// Nonblocking matched receive: removes and returns the first visible
+  /// match. Throws ygm::error if the world has been aborted. A blocking
+  /// caller passes `miss`, which a failed match fills in for its wait.
   std::optional<envelope> try_recv_match(int src, int tag, std::uint64_t ctx,
-                                         bool* delayed_match = nullptr);
+                                         match_miss* miss = nullptr);
 
   /// Nonblocking probe: peek at the first match without removing it. Under
   /// chaos this is the only operation allowed to lie (bounded false
@@ -65,13 +67,20 @@ class mail_slot {
   std::optional<status> iprobe(int src, int tag, std::uint64_t ctx);
 
   /// Nonblocking peek that never takes chaos misses (the building block for
-  /// a polling backend's *blocking* probe, which must be miss-immune just
-  /// like recv). `delayed_match` as in try_recv_match.
+  /// the *blocking* probe, which must be miss-immune just like recv).
+  /// `miss` as in try_recv_match.
   std::optional<status> try_probe(int src, int tag, std::uint64_t ctx,
-                                  bool* delayed_match = nullptr);
+                                  match_miss* miss = nullptr);
 
-  /// Blocking probe. Same threading caveat as recv_match.
-  status probe(int src, int tag, std::uint64_t ctx);
+  /// Block until the delivery count differs from `seen` (a miss's
+  /// `deliveries`), the slot is aborted, or `timeout` passes. Keying on the
+  /// count the failed match observed means a delivery that landed after
+  /// that match returns at once: no wakeup is lost.
+  void wait_for_delivery(std::uint64_t seen, std::chrono::microseconds timeout);
+
+  /// Chaos scheduling jitter: maybe sleep briefly, one draw per call.
+  /// Called without the slot's lock, once per messaging operation.
+  void maybe_stall();
 
   /// Number of queued (unreceived) messages, across all contexts. Counts
   /// chaos-delayed messages too (they have been sent, just not yet "seen").
@@ -123,28 +132,20 @@ class mail_slot {
            (tag == any_tag || e.tag == tag);
   }
 
-  /// First *visible* match in q_ (npos when none), plus whether a matching
-  /// message exists that is merely chaos-delayed — blocked callers use that
-  /// to age the delay with a timed wait instead of sleeping forever.
-  struct match_result {
-    std::size_t index;
-    bool delayed_match;
-  };
-  match_result find_match_locked(int src, int tag, std::uint64_t ctx) const;
-
-  /// Advance this rank's matching-operation clock (matures delayed
-  /// messages). Caller holds mtx_.
-  void tick_locked() { ++clock_; }
-
-  /// Maybe sleep (scheduling jitter). Called WITHOUT mtx_ held.
-  void maybe_stall();
+  /// One matching operation under mtx_: throws once aborted, advances this
+  /// rank's matching clock (which matures delayed messages), and returns
+  /// the index of the first *visible* match in q_ (npos when none). A
+  /// non-null `miss` is filled in for the caller's wait.
+  std::size_t match_locked(int src, int tag, std::uint64_t ctx,
+                           match_miss* miss);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   mutable std::mutex mtx_;
-  mutable std::condition_variable cv_;
+  std::condition_variable cv_;
   std::deque<queued> q_;
   std::atomic<std::size_t> payload_bytes_{0};  ///< sum of q_ payload sizes
+  std::uint64_t deliveries_ = 0;  ///< messages ever delivered (wait key)
   bool aborted_ = false;
 
   // ------------------------------------------------------------- chaos

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,12 +21,6 @@
 namespace ygm::transport::shm {
 
 namespace {
-
-double monotonic_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
 
 pair_block* block_at(void* base, int producer) {
   return reinterpret_cast<pair_block*>(
@@ -58,21 +51,19 @@ std::string segment_name(const std::string& dir, int rank) {
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
                    const chaos_config* chaos)
-    : rank_(rank), nranks_(nranks) {
+    : transport::endpoint(backend_kind::shm, rank, nranks, own_slot_) {
   YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
             "shm endpoint rank outside world");
   segments_.resize(static_cast<std::size_t>(nranks));
   out_.resize(static_cast<std::size_t>(nranks));
   in_.resize(static_cast<std::size_t>(nranks));
-  channels_.reserve(static_cast<std::size_t>(nranks));
-  for (int d = 0; d < nranks; ++d) channels_.emplace_back(this, d);
   handshake(dir, chaos);
-  epoch_wtime_ = monotonic_seconds();
+  epoch_ = monotonic_seconds();
 }
 
 void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   if (chaos != nullptr && chaos->enabled()) {
-    slot_.configure_chaos(*chaos, rank_);
+    slot_->configure_chaos(*chaos, rank_);
   }
   if (nranks_ == 1) return;
 
@@ -210,8 +201,7 @@ endpoint::~endpoint() {
     }
   }
 
-  const auto probes = slot_.probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
+  publish_stats();
   telemetry::count("transport.shm.ring_tx_bytes", ring_tx_bytes_);
   telemetry::count("transport.shm.ring_rx_bytes", ring_rx_bytes_);
   telemetry::count("transport.shm.spill_tx_bytes", spill_tx_bytes_);
@@ -231,11 +221,6 @@ endpoint::~endpoint() {
   if (!seg_name_.empty()) (void)::shm_unlink(seg_name_.c_str());
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < nranks_);
-  return channels_[static_cast<std::size_t>(dest)];
-}
-
 bool endpoint::world_marked_aborted() const {
   if (nranks_ == 1) return false;
   return own_hdr()->aborted.load(std::memory_order_acquire) != 0;
@@ -244,7 +229,7 @@ bool endpoint::world_marked_aborted() const {
 void endpoint::mark_aborted_locked() {
   if (!aborted_) {
     aborted_ = true;
-    slot_.abort();
+    slot_->abort();
   }
 }
 
@@ -333,9 +318,9 @@ bool endpoint::wait_for_space(int dest, ring_view& ring, std::size_t need) {
   }
 }
 
-void endpoint::post_to_peer(int dest, envelope&& e) {
+void endpoint::send(int dest, envelope&& e) {
   if (dest == rank_) {
-    slot_.deliver(std::move(e));
+    slot_->deliver(std::move(e));
     return;
   }
   const bool spill = e.payload.size() > inline_payload_max;
@@ -479,8 +464,8 @@ bool endpoint::pump_pair(int src, in_pair& p) {
         wake_parked_producer(p.spill.ctrl());
       }
       if (p.spill_got < p.spill_hdr.payload_len) break;  // resume next pump
-      slot_.deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag, p.spill_hdr.ctx,
-                             std::move(p.spill_payload)});
+      slot_->deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag,
+                              p.spill_hdr.ctx, std::move(p.spill_payload)});
       p.spill_payload = {};
       p.have_spill_hdr = false;
       p.spill_got = 0;
@@ -504,7 +489,7 @@ bool endpoint::pump_pair(int src, in_pair& p) {
       ring_rx_bytes_ += sizeof(hdr) + hdr.payload_len;
       moved = true;
       wake_parked_producer(p.main.ctrl());
-      slot_.deliver(envelope{hdr.src, hdr.tag, hdr.ctx, std::move(payload)});
+      slot_->deliver(envelope{hdr.src, hdr.tag, hdr.ctx, std::move(payload)});
     } else if (hdr.kind == static_cast<std::uint32_t>(frame_kind::spill)) {
       p.main.consume(sizeof(hdr));
       ring_rx_bytes_ += sizeof(hdr);
@@ -538,73 +523,23 @@ bool endpoint::pump_inbound() {
   return moved;
 }
 
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  // Per-iteration locking, same discipline as the socket backend: the mutex
-  // is released between park intervals (and the intervals are short) so a
-  // concurrent progress-engine post is never starved for long.
-  for (;;) {
-    bool delayed = false;
-    if (auto e = slot_.try_recv_match(src, tag, ctx, &delayed)) {
-      return std::move(*e);
-    }
-    std::lock_guard lock(io_mtx_);
-    if (pump_inbound()) continue;  // fresh deliveries: retry the match now
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "shm recv would block forever: all peers finished and no "
-              "matching message is queued");
-    // A chaos-delayed match matures with the slot clock, which ticks on
-    // each try above — park briefly so the delay ages instead of waiting a
-    // full interval for ring traffic that may never come.
-    park_for_inbound(delayed ? 1000 : 10000);
-  }
+bool endpoint::pump(bool from_engine) {
+  const auto lock = pump_lock(io_mtx_, from_engine);
+  return lock.owns_lock() && pump_inbound();
 }
 
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.try_recv_match(src, tag, ctx);
+void endpoint::wait(const match_miss& miss) {
+  std::lock_guard lock(io_mtx_);
+  if (pump_inbound()) return;  // fresh deliveries: match again now
+  YGM_CHECK(miss.delayed || !all_peers_silent(),
+            std::string("shm ") + miss.op +
+                " would block forever: all peers finished and no matching "
+                "message is queued");
+  // A chaos-delayed match matures with the slot clock, which ticks on each
+  // match — park briefly so the delay ages instead of waiting a full
+  // interval for ring traffic that may never come.
+  park_for_inbound(miss.delayed ? 1000 : 10000);
 }
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  for (;;) {
-    bool delayed = false;
-    if (auto st = slot_.try_probe(src, tag, ctx, &delayed)) return *st;
-    std::lock_guard lock(io_mtx_);
-    if (pump_inbound()) continue;
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "shm probe would block forever: all peers finished and no "
-              "matching message is queued");
-    park_for_inbound(delayed ? 1000 : 10000);
-  }
-}
-
-std::size_t endpoint::pending() {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.pending();
-}
-
-bool endpoint::progress_hook() {
-  // Never block the owning rank: if it is mid-operation, skip this pass.
-  std::unique_lock lock(io_mtx_, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
-  return pump_inbound();
-}
-
-double endpoint::wtime() const { return monotonic_seconds() - epoch_wtime_; }
 
 void endpoint::abort_world() {
   {
@@ -633,7 +568,7 @@ void endpoint::abort_world() {
       }
     }
   }
-  slot_.abort();
+  slot_->abort();
 }
 
 bool endpoint::all_peers_silent() const {

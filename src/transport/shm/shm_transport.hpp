@@ -38,10 +38,12 @@
 // and transport::outq_cap_bytes() is additionally honoured when it is
 // tighter than the ring, mirroring the socket backend's accept rule.
 //
-// The receive side shares mail_slot with the other backends: the pump
-// delivers completed frames into the slot, so all matching/chaos semantics
-// come from the one engine and a chaos seed reproduces the same fault
-// pattern on any backend.
+// The receive side is transport::endpoint's shared loop over this rank's
+// own mail_slot: pump() delivers completed frames into the slot, so all
+// matching/chaos semantics come from the one engine and a chaos seed
+// reproduces the same fault pattern on any backend; wait() pumps, then
+// parks on the recv doorbell for at most 10 ms (1 ms while a chaos-delayed
+// match is maturing).
 //
 // Failure: abort_world sets an aborted flag in every mapped segment and
 // bumps every doorbell; peers notice on their next pump or park and poison
@@ -53,7 +55,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,7 @@
 #include "transport/endpoint.hpp"
 #include "transport/mail_slot.hpp"
 #include "transport/shm/spsc_ring.hpp"
+#include "transport/wire.hpp"
 
 namespace ygm::transport::shm {
 
@@ -120,25 +122,7 @@ class endpoint final : public transport::endpoint {
            const chaos_config* chaos);
   ~endpoint() override;
 
-  backend_kind kind() const noexcept override { return backend_kind::shm; }
-  int world_rank() const noexcept override { return rank_; }
-  int world_size() const noexcept override { return nranks_; }
-
-  transport::channel& peer(int dest) override;
-
-  envelope recv_match(int src, int tag, std::uint64_t ctx) override;
-  std::optional<envelope> try_recv_match(int src, int tag,
-                                         std::uint64_t ctx) override;
-  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
-  status probe(int src, int tag, std::uint64_t ctx) override;
-  std::size_t pending() override;
-
-  double wtime() const override;
   void abort_world() override;
-
-  /// Engine-donated progress: try-lock the I/O mutex (never block the rank
-  /// mid-operation) and drain inbound rings; reports whether bytes moved.
-  bool progress_hook() override;
 
   /// Seconds a rank will wait for the rest of the world to rendezvous.
   static constexpr double handshake_timeout_s = 30.0;
@@ -148,17 +132,6 @@ class endpoint final : public transport::endpoint {
     data = 2,   ///< header + payload inline in the main ring
     spill = 5,  ///< header in the main ring; payload streams via spill ring
   };
-
-  // Byte-identical to socket::endpoint::wire_header — the framed-header
-  // layout is the ABI shared by the process-per-rank backends.
-  struct wire_header {
-    std::uint32_t kind = 0;
-    std::uint32_t payload_len = 0;
-    std::int32_t src = 0;
-    std::int32_t tag = 0;
-    std::uint64_t ctx = 0;
-  };
-  static_assert(sizeof(wire_header) == 24, "framed header layout is the ABI");
 
   /// One mapped segment (own or a peer's).
   struct segment {
@@ -187,18 +160,10 @@ class endpoint final : public transport::endpoint {
     bool fin_seen = false;
   };
 
-  class peer_channel final : public transport::channel {
-   public:
-    peer_channel() = default;
-    peer_channel(endpoint* ep, int dest) : ep_(ep), dest_(dest) {}
-    void post(envelope&& e) override { ep_->post_to_peer(dest_, std::move(e)); }
-
-   private:
-    endpoint* ep_ = nullptr;
-    int dest_ = 0;
-  };
-
-  void post_to_peer(int dest, envelope&& e);
+  void send(int dest, envelope&& e) override;
+  /// One pump_inbound() pass; reports whether any bytes were consumed.
+  bool pump(bool from_engine) override;
+  void wait(const match_miss& miss) override;
 
   /// Drain every inbound ring into the slot (strictly nonblocking).
   /// Returns true if any bytes were consumed.
@@ -227,20 +192,16 @@ class endpoint final : public transport::endpoint {
     return segments_[static_cast<std::size_t>(rank_)].hdr;
   }
 
-  int rank_ = 0;
-  int nranks_ = 1;
   std::string seg_name_;  ///< own segment's shm name (for unlink)
   /// Serializes all ring-touching state between the owning rank thread and
-  /// the progress engine, same discipline as the socket backend: blocking
-  /// operations lock per pump iteration (with short park timeouts) so the
-  /// engine's posts are never starved for long; the engine only try-locks.
+  /// the progress engine: wait() locks once per park (with short park
+  /// timeouts) so the engine's posts are never starved for long; the
+  /// engine's pump only try-locks.
   std::mutex io_mtx_;
-  mail_slot slot_;
+  mail_slot own_slot_;  // the base class's slot_
   std::vector<segment> segments_;  // indexed by world rank
   std::vector<out_pair> out_;      // toward each peer; self unused
   std::vector<in_pair> in_;        // from each peer; self unused
-  std::vector<peer_channel> channels_;
-  double epoch_wtime_ = 0;  // CLOCK_MONOTONIC seconds at setup
   bool aborted_ = false;
   // ring-level counters, published with the endpoint stats at teardown
   std::uint64_t ring_tx_bytes_ = 0;

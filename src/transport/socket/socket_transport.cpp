@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,12 +22,6 @@
 namespace ygm::transport::socket {
 
 namespace {
-
-double monotonic_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
 
 std::string sock_path(const std::string& dir, int rank) {
   return dir + "/r" + std::to_string(rank) + ".sock";
@@ -82,19 +75,17 @@ sockaddr_un make_addr(const std::string& path) {
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
                    const chaos_config* chaos)
-    : rank_(rank), nranks_(nranks) {
+    : transport::endpoint(backend_kind::socket, rank, nranks, own_slot_) {
   YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
             "socket endpoint rank outside world");
   peers_.resize(static_cast<std::size_t>(nranks));
-  channels_.reserve(static_cast<std::size_t>(nranks));
-  for (int d = 0; d < nranks; ++d) channels_.emplace_back(this, d);
   handshake(dir, chaos);
-  epoch_wtime_ = monotonic_seconds();
+  epoch_ = monotonic_seconds();
 }
 
 void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   if (chaos != nullptr && chaos->enabled()) {
-    slot_.configure_chaos(*chaos, rank_);
+    slot_->configure_chaos(*chaos, rank_);
   }
   if (nranks_ == 1) return;
 
@@ -199,8 +190,7 @@ endpoint::~endpoint() {
     p.fd = -1;
   }
 
-  const auto probes = slot_.probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
+  publish_stats();
   telemetry::count("transport.socket.wire_tx_bytes", wire_tx_bytes_);
   telemetry::count("transport.socket.wire_rx_bytes", wire_rx_bytes_);
   telemetry::count("transport.socket.wire_sendmsg_calls", wire_sendmsg_calls_);
@@ -209,14 +199,9 @@ endpoint::~endpoint() {
   telemetry::count("transport.socket.outq_stalls", outq_stalls_);
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < nranks_);
-  return channels_[static_cast<std::size_t>(dest)];
-}
-
-void endpoint::post_to_peer(int dest, envelope&& e) {
+void endpoint::send(int dest, envelope&& e) {
   if (dest == rank_) {
-    slot_.deliver(std::move(e));
+    slot_->deliver(std::move(e));
     return;
   }
   const std::size_t frame_bytes = sizeof(wire_header) + e.payload.size();
@@ -238,9 +223,9 @@ void endpoint::post_to_peer(int dest, envelope&& e) {
   // short interval the moment any byte moves, so resumption latency stays
   // at one short interval.
   int wait_ms = 10;
-  // Per-iteration locking, like the blocking receive loops: the mutex is
-  // released between pump intervals so a concurrent progress-engine pass is
-  // never starved while we wait out a full peer queue.
+  // Per-iteration locking, like wait(): the mutex is released between pump
+  // intervals so a concurrent progress-engine pass is never starved while
+  // we wait out a full peer queue.
   for (;;) {
     std::unique_lock lock(io_mtx_);
     auto& p = peers_[static_cast<std::size_t>(dest)];
@@ -357,20 +342,20 @@ void endpoint::fail_peer(peer_state& p, const char* why) {
   // local world so blocked operations surface an error instead of hanging.
   if (!p.fin_seen && !aborted_) {
     aborted_ = true;
-    slot_.abort();
+    slot_->abort();
   }
 }
 
 void endpoint::handle_frame(peer_state& p) {
   switch (static_cast<frame_kind>(p.hdr.kind)) {
     case frame_kind::data:
-      slot_.deliver(envelope{p.hdr.src, p.hdr.tag, p.hdr.ctx,
-                             std::move(p.payload)});
+      slot_->deliver(envelope{p.hdr.src, p.hdr.tag, p.hdr.ctx,
+                              std::move(p.payload)});
       p.payload = {};
       break;
     case frame_kind::abort:
       aborted_ = true;
-      slot_.abort();
+      slot_->abort();
       break;
     case frame_kind::fin:
       p.fin_seen = true;
@@ -467,73 +452,25 @@ void endpoint::progress(int timeout_ms) {
   }
 }
 
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  // Per-iteration locking: the mutex is released between pump intervals
-  // (and the intervals are short) so a concurrent progress-engine post is
-  // never starved for more than one poll timeout.
-  for (;;) {
-    bool delayed = false;
-    if (auto e = slot_.try_recv_match(src, tag, ctx, &delayed)) {
-      return std::move(*e);
-    }
-    std::lock_guard lock(io_mtx_);
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "socket recv would block forever: all peers finished and no "
-              "matching message is queued");
-    // A chaos-delayed match matures with the slot clock, which ticks on each
-    // try above — poll briefly so the delay ages instead of waiting a full
-    // interval for wire traffic that may never come.
-    progress(delayed ? 1 : 10);
-  }
-}
-
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.try_recv_match(src, tag, ctx);
-}
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  for (;;) {
-    bool delayed = false;
-    if (auto st = slot_.try_probe(src, tag, ctx, &delayed)) return *st;
-    std::lock_guard lock(io_mtx_);
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "socket probe would block forever: all peers finished and no "
-              "matching message is queued");
-    progress(delayed ? 1 : 10);
-  }
-}
-
-std::size_t endpoint::pending() {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.pending();
-}
-
-bool endpoint::progress_hook() {
-  // Never block the owning rank: if it is mid-operation, skip this pass.
-  std::unique_lock lock(io_mtx_, std::try_to_lock);
+bool endpoint::pump(bool from_engine) {
+  const auto lock = pump_lock(io_mtx_, from_engine);
   if (!lock.owns_lock()) return false;
   const std::uint64_t before = wire_tx_bytes_ + wire_rx_bytes_;
   progress(0);
   return wire_tx_bytes_ + wire_rx_bytes_ != before;
 }
 
-double endpoint::wtime() const { return monotonic_seconds() - epoch_wtime_; }
+void endpoint::wait(const match_miss& miss) {
+  std::lock_guard lock(io_mtx_);
+  YGM_CHECK(miss.delayed || !all_peers_silent(),
+            std::string("socket ") + miss.op +
+                " would block forever: all peers finished and no matching "
+                "message is queued");
+  // A chaos-delayed match matures with the slot clock, which ticks on each
+  // match — poll briefly so the delay ages instead of waiting a full
+  // interval for wire traffic that may never come.
+  progress(miss.delayed ? 1 : 10);
+}
 
 void endpoint::abort_world() {
   {
@@ -549,7 +486,7 @@ void endpoint::abort_world() {
       progress(0);
     }
   }
-  slot_.abort();
+  slot_->abort();
 }
 
 bool endpoint::all_peers_silent() const {

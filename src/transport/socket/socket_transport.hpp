@@ -15,7 +15,7 @@
 // handed to post() by value IS the iovec base, and it is released back to
 // core::buffer_pool when the wire accepts the last byte — PR 5's zero-copy
 // discipline across the process boundary. A send the kernel won't accept
-// whole parks the remainder on the channel's outbound queue, which is
+// whole parks the remainder on the peer's outbound queue, which is
 // *bounded*: at transport::outq_cap_bytes() the posting rank stops
 // accepting new data frames and pumps the wire (POLLOUT wakes it when the
 // peer drains, and the pump keeps reading inbound frames meanwhile, so two
@@ -23,11 +23,10 @@
 // the queue has room. Control frames (hello/abort/fin) bypass the cap so
 // teardown and failure propagation can never be wedged behind data.
 //
-// The receive side shares mail_slot with the inproc backend: completed data
-// frames are delivered into the slot by the pump, and all matching/chaos
-// semantics come from the shared engine. Blocking operations are
-// pump-then-match loops (the slot's condition variable has no in-process
-// senders to signal it here).
+// The receive side is transport::endpoint's shared loop over this rank's
+// own mail_slot: pump() delivers completed data frames into the slot, and
+// wait() polls the peer sockets for at most 10 ms (1 ms while a
+// chaos-delayed match is maturing), reading whatever arrives.
 //
 // Failure: an uncaught exception in a rank turns into an abort frame to
 // every peer plus a poisoned slot; peers reading the frame (or seeing a
@@ -41,13 +40,13 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "transport/chaos.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/mail_slot.hpp"
+#include "transport/wire.hpp"
 
 namespace ygm::transport::socket {
 
@@ -61,26 +60,7 @@ class endpoint final : public transport::endpoint {
            const chaos_config* chaos);
   ~endpoint() override;
 
-  backend_kind kind() const noexcept override { return backend_kind::socket; }
-  int world_rank() const noexcept override { return rank_; }
-  int world_size() const noexcept override { return nranks_; }
-
-  transport::channel& peer(int dest) override;
-
-  envelope recv_match(int src, int tag, std::uint64_t ctx) override;
-  std::optional<envelope> try_recv_match(int src, int tag,
-                                         std::uint64_t ctx) override;
-  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
-  status probe(int src, int tag, std::uint64_t ctx) override;
-  std::size_t pending() override;
-
-  double wtime() const override;
   void abort_world() override;
-
-  /// Engine-donated progress: try-lock the I/O mutex (never block the rank
-  /// mid-operation) and run one nonblocking pump; reports whether any wire
-  /// bytes moved.
-  bool progress_hook() override;
 
   /// Seconds a rank will wait for the rest of the world to rendezvous.
   static constexpr double handshake_timeout_s = 30.0;
@@ -92,15 +72,6 @@ class endpoint final : public transport::endpoint {
     abort = 3,  ///< sender's world is poisoned; poison yours
     fin = 4,    ///< orderly end-of-stream: sender will write nothing more
   };
-
-  struct wire_header {
-    std::uint32_t kind = 0;
-    std::uint32_t payload_len = 0;
-    std::int32_t src = 0;
-    std::int32_t tag = 0;
-    std::uint64_t ctx = 0;
-  };
-  static_assert(sizeof(wire_header) == 24, "framed header layout is the ABI");
 
   /// One queued outbound frame: unsent header bytes + payload, with a
   /// cursor over the concatenation.
@@ -126,18 +97,10 @@ class endpoint final : public transport::endpoint {
     std::size_t payload_got = 0;
   };
 
-  class peer_channel final : public transport::channel {
-   public:
-    peer_channel() = default;
-    peer_channel(endpoint* ep, int dest) : ep_(ep), dest_(dest) {}
-    void post(envelope&& e) override { ep_->post_to_peer(dest_, std::move(e)); }
-
-   private:
-    endpoint* ep_ = nullptr;
-    int dest_ = 0;
-  };
-
-  void post_to_peer(int dest, envelope&& e);
+  void send(int dest, envelope&& e) override;
+  /// One nonblocking progress() pass; reports whether any wire bytes moved.
+  bool pump(bool from_engine) override;
+  void wait(const match_miss& miss) override;
 
   /// Pump the wire: flush outbound queues, read inbound frames into the
   /// slot. Waits up to timeout_ms for activity when nothing is immediately
@@ -161,20 +124,15 @@ class endpoint final : public transport::endpoint {
   /// wait.
   bool all_peers_silent() const;
 
-  int rank_ = 0;
-  int nranks_ = 1;
   /// Serializes all wire-touching state (peers_, pollfds_, counters)
   /// between the owning rank thread and the progress engine. Blocking
-  /// operations lock per pump iteration (with short poll timeouts) so the
-  /// engine's posts are never starved for long; the engine itself only ever
-  /// try-locks (progress_hook). mail_slot stays internally synchronized as
-  /// before.
+  /// operations lock per wait (with short poll timeouts) so the engine's
+  /// posts are never starved for long; the engine itself only ever
+  /// try-locks (pump). mail_slot stays internally synchronized.
   std::mutex io_mtx_;
-  mail_slot slot_;
+  mail_slot own_slot_;  // the base class's slot_
   std::vector<peer_state> peers_;      // indexed by world rank; self unused
-  std::vector<peer_channel> channels_;
   std::vector<pollfd> pollfds_;  // scratch, rebuilt per progress()
-  double epoch_wtime_ = 0;              // CLOCK_MONOTONIC seconds at setup
   bool aborted_ = false;
   // wire-level counters, published with the endpoint stats at teardown
   std::uint64_t wire_tx_bytes_ = 0;

@@ -161,15 +161,16 @@ TEST(ChaosUnit, PerSourceOrderSurvivesMaximalDelay) {
   });
 }
 
-TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
-  // A blocked receiver whose only matching message is delay-hidden must
-  // still complete: the timed wait re-ticks the receiver's clock until the
-  // delay expires.
+// A blocked receiver whose only matching message is delay-hidden must still
+// complete: the backend's bounded wait returns to the receive loop, whose
+// next match re-ticks the receiver's clock until the delay expires.
+void blocking_recv_ages_delays(ygm::transport::backend_kind backend) {
   chaos_config cfg;
   cfg.seed = 3;
   cfg.delay_prob = 1.0;
   cfg.max_delay_ticks = 64;
-  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
+  const ygm::run_options o{.nranks = 2, .backend = backend, .chaos = cfg};
+  ygm::launch(o, [&](sim::comm& c) {
     if (c.rank() == 1) c.send(std::string("late"), 0, 2);
     if (c.rank() == 0) {
       EXPECT_EQ(c.recv<std::string>(1, 2), "late");
@@ -177,6 +178,25 @@ TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
     c.barrier();
   });
 }
+
+TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
+  blocking_recv_ages_delays(ygm::transport::backend_kind::inproc);
+}
+
+class ChaosUnitOn
+    : public ::testing::TestWithParam<ygm::transport::backend_kind> {};
+
+TEST_P(ChaosUnitOn, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
+  blocking_recv_ages_delays(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ChaosUnitOn,
+    ::testing::Values(ygm::transport::backend_kind::socket,
+                      ygm::transport::backend_kind::shm),
+    [](const ::testing::TestParamInfo<ygm::transport::backend_kind>& info) {
+      return std::string(ygm::transport::to_string(info.param));
+    });
 
 TEST(ChaosUnit, PresetsAndEnvParsingRoundTrip) {
   const auto heavy = chaos_config::heavy(123);

@@ -180,8 +180,8 @@ TEST(PacketInplace, MultiRecordPacketRoundTripsThroughReader) {
     EXPECT_EQ(rec.addr, static_cast<int>(i));
     EXPECT_EQ(rec.is_bcast, (i % 3) == 0);
     ASSERT_EQ(rec.payload.size(), payloads[i].size());
-    EXPECT_EQ(0, std::memcmp(rec.payload.data(), payloads[i].data(),
-                             payloads[i].size()));
+    EXPECT_EQ(std::vector<std::byte>(rec.payload.begin(), rec.payload.end()),
+              payloads[i]);
     // The span relays copy verbatim is exactly a fresh encoding.
     std::vector<std::byte> fresh;
     packet_append(fresh, rec.is_bcast, rec.addr, rec.payload);

@@ -528,16 +528,23 @@ TEST(Mailbox, TimedArrivalStampCountsTowardCapacity) {
   });
 }
 
-TEST(Mailbox, ReentrantPollFromCallbackIsANoOp) {
+class MailboxModes : public ::testing::TestWithParam<ygm::progress::mode> {};
+
+TEST_P(MailboxModes, ReentrantPollFromCallbackIsANoOp) {
   // A receive callback that drives progress itself (poll / test_empty — the
   // HavoqGT work-queue pattern) must not recursively re-enter the incoming
   // drain: with many packets queued that recursion nests once per packet
   // and clobbers the forwarding scratch buffer. Reentrant calls are no-ops.
-  ygm::launch({.nranks = 2}, [](sim::comm& c) {
+  // In engine mode the same holds for the engine-deferred batches a
+  // callback's poll() would otherwise drain nested inside the current one.
+  // A nested test_empty() must also report false and leave the detector
+  // alone: consuming the verdict there strands the outer wait_empty().
+  ygm::launch({.nranks = 2, .progress_mode = GetParam()}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     mailbox<std::uint64_t>* mbp = nullptr;
     int depth = 0;
     int max_depth = 0;
+    int nested_empty = 0;
     std::uint64_t got = 0;
     mailbox<std::uint64_t> mb(
         world,
@@ -546,7 +553,7 @@ TEST(Mailbox, ReentrantPollFromCallbackIsANoOp) {
           if (depth > max_depth) max_depth = depth;
           got += v;
           mbp->poll();
-          mbp->test_empty();
+          if (mbp->test_empty()) ++nested_empty;
           --depth;
         },
         64);
@@ -558,6 +565,15 @@ TEST(Mailbox, ReentrantPollFromCallbackIsANoOp) {
     if (c.rank() == 0) {
       EXPECT_EQ(got, 100u);
       EXPECT_EQ(max_depth, 1);
+      EXPECT_EQ(nested_empty, 0);
     }
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Progress, MailboxModes,
+    ::testing::Values(ygm::progress::mode::polling,
+                      ygm::progress::mode::engine),
+    [](const ::testing::TestParamInfo<ygm::progress::mode>& info) {
+      return std::string(ygm::progress::to_string(info.param));
+    });

@@ -294,10 +294,15 @@ TEST(Export, SpansCoverRankWallTime) {
   // The acceptance bar for traces: per rank, top-level span coverage of the
   // measured window must be essentially total. rank.main spans the whole
   // rank function by construction; verify it brackets the mailbox spans.
+  // Pinned to polling: in engine mode the engine thread records its own
+  // lane by design, so the lane count is no longer one per rank.
   const topology topo(2, 2);
   tel::session session;
   tel::set_global(&session);
-  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
+  const ygm::run_options polling{
+      .nranks = topo.num_ranks(),
+      .progress_mode = ygm::progress::mode::polling};
+  ygm::launch(polling, [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_local);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(

@@ -94,22 +94,6 @@ TEST(Socket, PointToPointAcrossProcesses) {
   }
 }
 
-TEST(Socket, ProbeAndPending) {
-  ygm::launch(on_backend(tp::backend_kind::socket, 4), [](sim::comm& c) {
-    if (c.rank() == 0) {
-      for (int dest = 1; dest < c.size(); ++dest) c.send(dest * 3, dest, 5);
-      c.barrier();
-    } else {
-      const auto st = c.probe(0, 5);
-      EXPECT_EQ(st.source, 0);
-      EXPECT_EQ(st.tag, 5);
-      EXPECT_GE(c.pending_messages(), 1u);
-      EXPECT_EQ(c.recv<int>(0, 5), c.rank() * 3);
-      c.barrier();
-    }
-  });
-}
-
 TEST(Socket, CollectivesMatchInprocSemantics) {
   ygm::launch(on_backend(tp::backend_kind::socket, 5), [](sim::comm& c) {
     const int p = c.size();
@@ -121,7 +105,8 @@ TEST(Socket, CollectivesMatchInprocSemantics) {
 
     const int sum = c.allreduce(c.rank() + 1, sim::op_sum{});
     EXPECT_EQ(sum, p * (p + 1) / 2);
-    EXPECT_EQ(c.allreduce_sum(static_cast<std::uint64_t>(c.rank() + 1)),
+    EXPECT_EQ(c.allreduce(static_cast<std::uint64_t>(c.rank() + 1),
+                          sim::op_sum{}),
               static_cast<std::uint64_t>(p * (p + 1) / 2));
 
     const auto all = c.allgather(c.rank() * 2);
@@ -202,9 +187,41 @@ TEST(Socket, SingleRankWorld) {
     c.barrier();
     c.send(41, 0, 0);  // self-send loops through the own slot
     EXPECT_EQ(c.recv<int>(0, 0), 41);
-    EXPECT_EQ(c.allreduce_sum(7), 7u);
+    EXPECT_EQ(c.allreduce(std::uint64_t{7}, sim::op_sum{}), 7u);
   });
 }
+
+// ------------------------------------- the shared receive loop, per backend
+
+class ReceiveLoop : public ::testing::TestWithParam<tp::backend_kind> {};
+
+TEST_P(ReceiveLoop, ProbeAndPending) {
+  ygm::launch(on_backend(GetParam(), 4), [](sim::comm& c) {
+    if (c.rank() == 0) {
+      for (int dest = 1; dest < c.size(); ++dest) c.send(dest * 3, dest, 5);
+      c.barrier();
+    } else {
+      const auto st = c.probe(0, 5);
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.tag, 5);
+      EXPECT_GE(c.pending_messages(), 1u);
+      const auto again = c.iprobe(0, 5);
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(again->byte_count, st.byte_count);
+      EXPECT_EQ(c.recv<int>(0, 5), c.rank() * 3);
+      EXPECT_FALSE(c.iprobe(0, 5).has_value());
+      c.barrier();
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ReceiveLoop,
+    ::testing::Values(tp::backend_kind::inproc, tp::backend_kind::socket,
+                      tp::backend_kind::shm),
+    [](const ::testing::TestParamInfo<tp::backend_kind>& info) {
+      return std::string(tp::to_string(info.param));
+    });
 
 // --------------------------------------------------- shm backend basics
 
@@ -299,7 +316,7 @@ TEST(Shm, SingleRankWorld) {
     c.barrier();
     c.send(41, 0, 0);
     EXPECT_EQ(c.recv<int>(0, 0), 41);
-    EXPECT_EQ(c.allreduce_sum(7), 7u);
+    EXPECT_EQ(c.allreduce(std::uint64_t{7}, sim::op_sum{}), 7u);
   });
 }
 
@@ -481,6 +498,40 @@ TEST(Telemetry, ProbeCountersPublishedPerBackendLane) {
   EXPECT_GT(m.counters().at("transport.inproc.iprobe_draws"), 0u);
   // heavy chaos injects probe misses; the loop above retries through them.
   EXPECT_GT(m.counters().at("transport.inproc.iprobe_misses"), 0u);
+}
+
+TEST(Telemetry, CollectiveCountersMatchAcrossBackends) {
+  // One barrier and one allreduce on 5 ranks: the dissemination barrier
+  // sends 3 rounds x 5 tokens, the binomial reduce + broadcast 4 + 4
+  // messages. Every backend must send exactly those messages and count
+  // them identically, since the repo benchmark reads these counters.
+  struct totals {
+    std::uint64_t sends, recvs, collectives, posts;
+    bool operator==(const totals&) const = default;
+  };
+  const auto totals_on = [](tp::backend_kind k) {
+    tel::session session;
+    tel::set_global(&session);
+    ygm::launch(on_backend(k, 5), [](sim::comm& c) {
+      c.barrier();
+      EXPECT_EQ(c.allreduce(std::uint64_t(c.rank() + 1), sim::op_sum{}), 15u);
+    });
+    tel::set_global(nullptr);
+    const auto m = session.merged_metrics();
+    return totals{m.counters().at("mpi.sends"), m.counters().at("mpi.recvs"),
+                  m.counters().at("mpi.collectives"),
+                  m.counters().at("transport." + std::string(tp::to_string(k)) +
+                                  ".posts")};
+  };
+  const totals expected{23, 23, 5, 23};
+  for (const auto k : {tp::backend_kind::inproc, tp::backend_kind::socket,
+                       tp::backend_kind::shm}) {
+    const totals t = totals_on(k);
+    EXPECT_EQ(t, expected) << tp::to_string(k) << ": sends=" << t.sends
+                           << " recvs=" << t.recvs
+                           << " collectives=" << t.collectives
+                           << " posts=" << t.posts;
+  }
 }
 
 TEST(Telemetry, SocketLaneShipsAcrossProcesses) {
