@@ -51,19 +51,18 @@ edge rmat_generator::sample(xoshiro256& rng) const {
       lb = nb / norm;
       lc = nc / norm;
     }
+    // Quadrants a | b | c | d split [0, 1) at la, la + lb and
+    // (la + lb) + lc; keep that association, the edge stream is pinned
+    // (graph/rmat.hpp). c and d set the row bit, b and d the column bit.
+    // `&` and `|`, not `&&` and `||`: GCC 12 compiles those to branches
+    // here, and the quadrant is random at every level.
     const double u = rng.uniform();
-    row <<= 1;
-    col <<= 1;
-    if (u < la) {
-      // top-left quadrant
-    } else if (u < la + lb) {
-      col |= 1;
-    } else if (u < la + lb + lc) {
-      row |= 1;
-    } else {
-      row |= 1;
-      col |= 1;
-    }
+    const double ab = la + lb;
+    const double abc = ab + lc;
+    const bool row_bit = u >= ab;
+    const bool col_bit = ((u >= la) & !row_bit) | (u >= abc);
+    row = (row << 1) | row_bit;
+    col = (col << 1) | col_bit;
   }
   if (params_.scramble) {
     row = scramble_vertex(row, scale_);

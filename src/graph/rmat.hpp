@@ -10,6 +10,17 @@
 // (0.25 x 4) reproduce an Erdős–Rényi-like graph (used by Fig. 8c).
 // Vertex ids are scrambled by a bit-mixing bijection so high-degree
 // vertices are not clustered at small ids.
+//
+// Sampler contract: `(scale, params, seed, rank, nranks)` names one edge
+// stream, bit for bit. Any rewrite of `sample` must make the same RNG
+// draws in the same order and the same floating-point operations in the
+// same association (no reciprocal-multiply, reassociation or FMA).
+// `Rmat.EdgeStreamMatchesPinnedDigests` (tests/test_graph.cpp) pins the
+// stream for the three presets below, with noise and scrambling on and
+// off, at scales 1-62; its digests hold for x86-64 baseline code without
+// FMA. The quadrant at each level is chosen by comparisons turned into
+// bits rather than by a branch: the choice is random, so a branch on it
+// mispredicts at a large share of the 16+ levels of every edge.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -139,6 +140,76 @@ TEST(Rmat, IsDeterministicAndInRange) {
   });
   g2.for_each([&](const edge& e) { e2.push_back(e); });
   EXPECT_EQ(e1, e2);
+}
+
+// A graph experiment is identified by its generator arguments, so the edge
+// stream they name must not drift when the sampler is rewritten. Each
+// digest folds three rank slices; the constants were recorded from the
+// if/else quadrant chain the branch-free sampler replaced (x86-64 baseline,
+// no FMA; see graph/rmat.hpp).
+TEST(Rmat, EdgeStreamMatchesPinnedDigests) {
+  struct slice_case {
+    std::uint64_t seed;
+    int rank;
+    int nranks;
+  };
+  constexpr slice_case kSlices[] = {{1, 0, 1}, {7, 2, 3}, {0x5eed, 5, 8}};
+  constexpr int kScales[] = {1, 7, 16, 40, 62};
+  const auto digest = [&](int scale, const rmat_params& p) {
+    std::uint64_t h = 0;
+    for (const auto& s : kSlices) {
+      const rmat_generator g(scale, 768, p, s.seed, s.rank, s.nranks);
+      g.for_each([&](const edge& e) {
+        h = ygm::splitmix64(h ^ e.src);
+        h = ygm::splitmix64(h ^ e.dst);
+      });
+    }
+    return h;
+  };
+  const std::pair<const char*, rmat_params> presets[] = {
+      {"graph500", rmat_params::graph500()},
+      {"uniform", rmat_params::uniform()},
+      {"webgraph_like", rmat_params::webgraph_like()}};
+  // [preset][noise][scramble][scale]; scale 1 is unchanged by scrambling.
+  constexpr std::uint64_t kPinned[3][2][2][5] = {
+      {{{0xabcbb04176d8107d, 0x413108b4824e8a6d, 0x1655356bea3b2335,
+         0x9fa22c5695d8f3a5, 0xd2fff49907e5a1cb},
+        {0xabcbb04176d8107d, 0xcf98b8d7639ec630, 0xa710c6f5d96d7739,
+         0x2e3c8eba40a26aae, 0xcdb59003a123dcc6}},
+       {{0x70aeaaebe1c98bcf, 0x9ca74daab0a99566, 0x7369915a12549fd9,
+         0xaf89461759d4b16c, 0x3d0de8e7d846e7cf},
+        {0x70aeaaebe1c98bcf, 0x95f6e553f563e176, 0xf9a0d8b44963842c,
+         0xdc0835f0a321149b, 0x7e6302ff65ebd24d}}},
+      {{{0x5f7ed96a1745c3b5, 0xd94625339d9007af, 0x5ac55fb6d4d8f6e8,
+         0x813182de7876ee19, 0x5b945e1731f928e5},
+        {0x5f7ed96a1745c3b5, 0x66738e1bdb2e73db, 0x4fed58fcd53c48d7,
+         0x6a4294b779b964b1, 0x2c1023ee733c9fcf}},
+       {{0x083fe5a4cdcb7d48, 0xe32d2eb20e30f8d6, 0xc72389d3a44eaea6,
+         0x605b3078d8d2df57, 0x17f28366a98b354f},
+        {0x083fe5a4cdcb7d48, 0xe7af0e51ff3d649f, 0x3a409bae8e7184ae,
+         0xcc87e04ffc01d244, 0xf22aa2a4bcd401c8}}},
+      {{{0x896212831e94887a, 0xef6f5d7154d91c75, 0x2b9ce501733fd2e0,
+         0x66dbba83cf1ebacc, 0xe7c5a85b07fe0dab},
+        {0x896212831e94887a, 0x81e87f22f064293c, 0xb302adf8bc63e8c5,
+         0xf87a8244e9bb6bd2, 0x7fb6665bf13cef43}},
+       {{0xfd3e6e40ba0c17fd, 0xfc85bccdcb5ffd0c, 0xbf36ec699b7c74bf,
+         0xb1e6dadb80e3f93f, 0x6879f0ad70de5594},
+        {0xfd3e6e40ba0c17fd, 0x336f985efa6e13fc, 0x03f2b4d990c6f06d,
+         0x767e3c2bb03f4f03, 0xbf1ae54b1d241ce0}}}};
+  for (int pi = 0; pi < 3; ++pi) {
+    for (const bool noise : {false, true}) {
+      for (const bool scramble : {false, true}) {
+        rmat_params p = presets[pi].second;
+        p.noise = noise;
+        p.scramble = scramble;
+        for (int si = 0; si < 5; ++si) {
+          EXPECT_EQ(digest(kScales[si], p), kPinned[pi][noise][scramble][si])
+              << presets[pi].first << " noise=" << noise
+              << " scramble=" << scramble << " scale=" << kScales[si];
+        }
+      }
+    }
+  }
 }
 
 TEST(Rmat, RejectsInvalidParameters) {

@@ -115,6 +115,9 @@ TEST(EventRing, ZeroCapacityDropsEverythingButCounts) {
 // ------------------------------------- registry merge across ranks
 
 TEST(Session, RegistryMergesAcrossSimulatedRanks) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "rank lanes compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   constexpr int kRanks = 6;
   tel::session session;
   tel::set_global(&session);

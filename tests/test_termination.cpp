@@ -200,17 +200,26 @@ TEST(Termination, StaleContributionFromLaggedRoundIsRejected) {
       c.send(contrib{7, 7, 0}, 0, tag_base + 0);
     }
     c.barrier();
-    auto drive = [&] {
-      for (int i = 0; i < 20000 && td.rounds() < 8; ++i) {
+    // Each rank drives until its part of the protocol is done, however
+    // slowly the other is scheduled; the deadline only bounds a broken run.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    auto drive_until = [&](auto done) {
+      while (!done() && std::chrono::steady_clock::now() < deadline) {
         td.poll(1, 1);
         std::this_thread::yield();
       }
     };
     if (c.rank() == 0) {
-      EXPECT_THROW(drive(), ygm::error);
+      // Runs until poll() throws (or the deadline passes and the
+      // expectation fails).
+      EXPECT_THROW(drive_until([] { return false; }), ygm::error);
       EXPECT_EQ(td.rounds(), 4u);  // detected exactly at the window wrap
     } else {
-      drive();  // bounded and nonblocking; exits once the root stops
+      // rounds() reaches 4 when the root's round-3 verdict arrives, and
+      // the same poll() sends this rank's round-4 contribution. By then
+      // the root has thrown and expects nothing more.
+      drive_until([&] { return td.rounds() >= 4; });
     }
     c.barrier();
   });
