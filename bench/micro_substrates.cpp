@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "core/launch.hpp"
 #include "core/mailbox.hpp"
 #include "core/packet.hpp"
+#include "graph/delegates.hpp"
 #include "graph/rmat.hpp"
 #include "linalg/csc.hpp"
 #include "routing/router.hpp"
@@ -159,6 +161,50 @@ void BM_RmatSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RmatSample);
+
+// owner() + local_index() of one scale-16 vertex id, as a receiver asks
+// for both: P = 4 takes the shift/mask path, P = 6 the divide. The two
+// calls share one expression, as at the call sites that need both; an
+// optimization barrier between them would keep GCC from merging the two
+// divides of the P = 6 path into one.
+void BM_PartitionOwner(benchmark::State& state) {
+  const graph::round_robin_partition part{static_cast<int>(state.range(0))};
+  xoshiro256 rng(8);
+  std::vector<graph::vertex_id> ids(4096);
+  for (auto& v : ids) v = rng.below(std::uint64_t{1} << 16);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const graph::vertex_id v = ids[i++ & 4095];
+    benchmark::DoNotOptimize(static_cast<std::uint64_t>(part.owner(v)) ^
+                             part.local_index(v));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PartitionOwner)->Arg(4)->Arg(6);
+
+// delegate_set::contains with 700 delegates among 2^16 vertices (the
+// repo benchmark's cc_rmat selects 697): arg 1 probes members, arg 0
+// non-members.
+void BM_DelegateContains(benchmark::State& state) {
+  const bool members = state.range(0) == 1;
+  xoshiro256 rng(9);
+  std::set<graph::vertex_id> chosen;
+  while (chosen.size() < 700) chosen.insert(rng.below(std::uint64_t{1} << 16));
+  const graph::delegate_set d(
+      std::vector<graph::vertex_id>(chosen.begin(), chosen.end()));
+  std::vector<graph::vertex_id> probes;
+  while (probes.size() < 4096) {
+    const graph::vertex_id v = rng.below(std::uint64_t{1} << 16);
+    if ((chosen.count(v) != 0) == members) probes.push_back(v);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.contains(probes[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(members ? "member" : "non-member");
+}
+BENCHMARK(BM_DelegateContains)->Arg(1)->Arg(0);
 
 void BM_CscMultiply(benchmark::State& state) {
   const std::uint64_t n = 4096;

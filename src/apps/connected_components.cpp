@@ -43,6 +43,27 @@ struct edge_store {
   std::vector<deleg_deleg> dd_edges;
 };
 
+/// One direction of an edge on its way to the rank that stores it, already
+/// classified by the sender, so the receiver appends it with no delegate
+/// lookup. The kind sits in the top two bits of `first` (vertex ids and
+/// slots stay below 2^62): plain {u, v}, from-delegate {slot_u, v},
+/// to-delegate {u, slot_v}. Delegate-to-delegate edges are never sent.
+struct ingest_msg {
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+};
+
+constexpr int ingest_kind_shift = 62;
+constexpr std::uint64_t ingest_id_mask =
+    (std::uint64_t{1} << ingest_kind_shift) - 1;
+constexpr std::uint64_t ingest_plain = 0;
+constexpr std::uint64_t ingest_from_delegate = 1;
+constexpr std::uint64_t ingest_to_delegate = 2;
+
+constexpr std::uint64_t ingest_first(std::uint64_t kind, std::uint64_t x) {
+  return (kind << ingest_kind_shift) | x;
+}
+
 struct label_msg {
   vertex_id v = 0;
   vertex_id label = 0;
@@ -60,6 +81,8 @@ cc_result connected_components(core::comm_world& world,
                                vertex_id num_vertices,
                                const graph::delegate_set& delegates,
                                std::size_t mailbox_capacity) {
+  YGM_CHECK(num_vertices <= (std::uint64_t{1} << ingest_kind_shift),
+            "connected_components supports at most 2^62 vertices");
   const graph::round_robin_partition part{world.size()};
   cc_result out;
 
@@ -76,37 +99,47 @@ cc_result connected_components(core::comm_world& world,
 
   // ---------------------------------------------------------- ingestion
   edge_store store;
-  const auto classify = [&](vertex_id u, vertex_id v) {
-    const bool udel = delegates.contains(u);
-    const bool vdel = delegates.contains(v);
-    if (udel && vdel) {
-      store.dd_edges.push_back({delegates.slot(u), delegates.slot(v)});
-    } else if (udel) {
-      YGM_ASSERT(part.owner(v) == world.rank());
-      store.from_delegates.push_back({delegates.slot(u), part.local_index(v)});
-    } else if (vdel) {
-      YGM_ASSERT(part.owner(u) == world.rank());
-      store.to_delegates.push_back({part.local_index(u), delegates.slot(v)});
-    } else {
-      YGM_ASSERT(part.owner(u) == world.rank());
-      store.plain_edges.push_back({part.local_index(u), v});
-    }
-  };
-
   {
-    core::mailbox<graph::edge> ingest(
-        world, [&](const graph::edge& e) { classify(e.src, e.dst); },
+    const int rank = world.rank();
+    core::mailbox<ingest_msg> ingest(
+        world,
+        [&](const ingest_msg& m) {
+          const std::uint64_t kind = m.first >> ingest_kind_shift;
+          const std::uint64_t x = m.first & ingest_id_mask;
+          if (kind == ingest_plain) {
+            YGM_ASSERT(part.owner(x) == rank);
+            store.plain_edges.push_back({part.local_index(x), m.second});
+          } else if (kind == ingest_from_delegate) {
+            YGM_ASSERT(x < delegates.size());
+            YGM_ASSERT(part.owner(m.second) == rank);
+            store.from_delegates.push_back({x, part.local_index(m.second)});
+          } else {
+            YGM_ASSERT(kind == ingest_to_delegate);
+            YGM_ASSERT(part.owner(x) == rank);
+            YGM_ASSERT(m.second < delegates.size());
+            store.to_delegates.push_back({part.local_index(x), m.second});
+          }
+        },
         mailbox_capacity);
     const auto route = [&](vertex_id u, vertex_id v) {
       YGM_CHECK(u < num_vertices && v < num_vertices,
                 "edge endpoint out of range");
-      const bool udel = delegates.contains(u);
-      const bool vdel = delegates.contains(v);
-      if (udel && vdel) {
-        classify(u, v);  // replica state is everywhere; store locally
+      constexpr std::uint64_t none = graph::delegate_set::no_slot;
+      const std::uint64_t su = delegates.find_slot(u);
+      const std::uint64_t sv = delegates.find_slot(v);
+      // Delegate edges are colocated with the non-delegate endpoint;
+      // replica state is everywhere, so a delegate-delegate edge is stored
+      // where it was generated.
+      if (su != none && sv != none) {
+        store.dd_edges.push_back({su, sv});
+      } else if (su != none) {
+        ingest.send(part.owner(v),
+                    {ingest_first(ingest_from_delegate, su), v});
+      } else if (sv != none) {
+        ingest.send(part.owner(u),
+                    {ingest_first(ingest_to_delegate, u), sv});
       } else {
-        // Delegate edges are colocated with the non-delegate endpoint.
-        ingest.send(udel ? part.owner(v) : part.owner(u), graph::edge{u, v});
+        ingest.send(part.owner(u), {ingest_first(ingest_plain, u), v});
       }
     };
     for (const auto& e : local_edges) {

@@ -38,7 +38,8 @@ struct cc_result {
 
 /// Collective. `local_edges` is this rank's slice of the (undirected) edge
 /// stream, in arbitrary order — ingestion routes each direction to the rank
-/// that stores it. `delegates` may be empty (no replication).
+/// that stores it. `delegates` may be empty (no replication). Throws
+/// ygm::error if `num_vertices` exceeds 2^62.
 cc_result connected_components(
     core::comm_world& world, const std::vector<graph::edge>& local_edges,
     graph::vertex_id num_vertices, const graph::delegate_set& delegates,

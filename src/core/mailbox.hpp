@@ -504,30 +504,43 @@ class mailbox {
   /// pump progress until the link fits it. The predicted cost deliberately
   /// overshoots (arrival stamp + trace escape + piggybacked ack headroom)
   /// so the budget is never exceeded for steady record sizes; a growing
-  /// payload can overshoot by at most one record. While stalled the rank
-  /// keeps receiving, forwarding, and acking — a flooded peer that is
-  /// itself stalled still returns our credit, so symmetric floods resolve.
+  /// payload can overshoot by at most one record. The check inlines into
+  /// every send; only the stall loop is out of line.
   void credit_gate(int next_hop, std::unique_lock<std::recursive_mutex>& lk) {
     if (!credit_on()) return;
     // Nested injection from a receive callback runs under the exchange
     // claim; gating it would stall the drain loop that has to free credit.
     if (in_exchange_.load(std::memory_order_relaxed)) return;
-    const std::size_t hop = static_cast<std::size_t>(next_hop);
     const std::size_t next_cost =
         packet_record_size(next_hop, len_hint_) + sizeof(double) +
         packet_record_size(packet_trace_escape,
                            telemetry::causal::wire_ctx_bytes) +
         packet_record_size(packet_credit_escape, sizeof(std::uint64_t));
-    const auto over = [&] {
-      // Idle-link exception: with nothing buffered or unacked, one record
-      // may always proceed, else a budget smaller than a single record
-      // (tiny clamped budgets) could never admit anything — a livelock,
-      // not backpressure. Peak then degrades to max(budget, one record).
-      if (credit_used_[hop] == 0 && buffers_[hop].empty()) return false;
-      return credit_used_[hop] + buffers_[hop].size() + next_cost >
-             credit_budget_;
-    };
-    if (!over()) [[likely]] return;
+    if (credit_over(next_hop, next_cost)) [[unlikely]] {
+      credit_stall(next_hop, next_cost, lk);
+    }
+  }
+
+  /// Whether a record costing `next_cost` would push the link to
+  /// `next_hop` past its budget.
+  bool credit_over(int next_hop, std::size_t next_cost) const noexcept {
+    const std::size_t hop = static_cast<std::size_t>(next_hop);
+    // Idle-link exception: with nothing buffered or unacked, one record
+    // may always proceed, else a budget smaller than a single record
+    // (tiny clamped budgets) could never admit anything — a livelock,
+    // not backpressure. Peak then degrades to max(budget, one record).
+    if (credit_used_[hop] == 0 && buffers_[hop].empty()) return false;
+    return credit_used_[hop] + buffers_[hop].size() + next_cost >
+           credit_budget_;
+  }
+
+  /// While stalled the rank keeps receiving, forwarding, and acking — a
+  /// flooded peer that is itself stalled still returns our credit, so
+  /// symmetric floods resolve.
+  [[gnu::noinline]] void credit_stall(
+      int next_hop, std::size_t next_cost,
+      std::unique_lock<std::recursive_mutex>& lk) {
+    const std::size_t hop = static_cast<std::size_t>(next_hop);
     ++stats_.credit_stalls;
     const double start_us = telemetry::now_us();
     do {
@@ -555,7 +568,7 @@ class mailbox {
       } else {
         std::this_thread::yield();
       }
-    } while (over());
+    } while (credit_over(next_hop, next_cost));
     telemetry::causal::record_credit_stall(next_hop, start_us,
                                            credit_used_[hop]);
   }

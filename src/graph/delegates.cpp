@@ -20,7 +20,7 @@ delegate_set::delegate_set(std::vector<vertex_id> sorted_ids)
   for (std::uint64_t i = 0; i < ids_.size(); ++i) {
     YGM_CHECK(i == 0 || ids_[i] != ids_[i - 1], "duplicate delegate id");
     std::size_t b = home(ids_[i]);
-    while (buckets_[b].slot != empty) b = (b + 1) & (n - 1);
+    while (buckets_[b].slot != no_slot) b = (b + 1) & (n - 1);
     buckets_[b] = {ids_[i], i};
   }
 }
@@ -30,7 +30,7 @@ delegate_set select_delegates(core::comm_world& world,
                               const round_robin_partition& part,
                               std::uint64_t threshold) {
   YGM_CHECK(threshold > 0, "delegate threshold must be positive");
-  YGM_CHECK(part.num_ranks == world.size(),
+  YGM_CHECK(part.num_ranks() == world.size(),
             "partition does not match the world");
 
   std::vector<vertex_id> mine;

@@ -30,14 +30,26 @@ class delegate_set {
   /// on every rank).
   explicit delegate_set(std::vector<vertex_id> sorted_ids);
 
-  bool contains(vertex_id v) const noexcept { return find(v) != nullptr; }
+  /// Returned by find_slot() for a vertex that is not a delegate.
+  static constexpr std::uint64_t no_slot = ~std::uint64_t{0};
+
+  /// Dense replica slot of `v`, or no_slot: one table probe answers both
+  /// contains(v) and slot(v).
+  std::uint64_t find_slot(vertex_id v) const noexcept {
+    for (std::size_t i = home(v);; i = (i + 1) & (buckets_.size() - 1)) {
+      const bucket& b = buckets_[i];
+      if (b.slot == no_slot || b.id == v) return b.slot;
+    }
+  }
+
+  bool contains(vertex_id v) const noexcept { return find_slot(v) != no_slot; }
 
   /// Dense replica slot of a delegate id; throws ygm::error unless
   /// contains(v).
   std::uint64_t slot(vertex_id v) const {
-    const bucket* b = find(v);
-    YGM_CHECK(b != nullptr, "vertex is not a delegate");
-    return b->slot;
+    const std::uint64_t s = find_slot(v);
+    YGM_CHECK(s != no_slot, "vertex is not a delegate");
+    return s;
   }
 
   vertex_id id_of_slot(std::uint64_t slot) const { return ids_[slot]; }
@@ -46,25 +58,17 @@ class delegate_set {
   const std::vector<vertex_id>& ids() const noexcept { return ids_; }
 
  private:
-  // Open addressing, sized once: the applications probe this table several
-  // times per edge. Power-of-two buckets at most half full, a
+  // Open addressing, sized once: the applications probe this table for
+  // both endpoints of every edge. Power-of-two buckets at most half full, a
   // multiplicative (Fibonacci) hash taking the top bits, linear probing.
-  static constexpr std::uint64_t empty = ~std::uint64_t{0};
+  // An empty bucket has slot no_slot.
   struct bucket {
     vertex_id id = 0;
-    std::uint64_t slot = empty;
+    std::uint64_t slot = no_slot;
   };
 
   std::size_t home(vertex_id v) const noexcept {
     return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  const bucket* find(vertex_id v) const noexcept {
-    for (std::size_t i = home(v);; i = (i + 1) & (buckets_.size() - 1)) {
-      const bucket& b = buckets_[i];
-      if (b.slot == empty) return nullptr;
-      if (b.id == v) return &b;
-    }
   }
 
   std::vector<vertex_id> ids_;

@@ -42,7 +42,6 @@ wire_ctx decode_wire(std::span<const std::byte> in) {
 
 namespace {
 
-std::atomic<std::uint64_t> g_threshold{0};
 std::atomic<double> g_rate{0.0};
 
 /// Map a rate in [0, 1] to the hash threshold (sampled iff hash < t, with
@@ -88,7 +87,7 @@ struct env_init {
   env_init() {
     const double rate = env_double("YGM_TRACE_SAMPLE", 0.0);
     g_rate.store(rate < 0 ? 0.0 : (rate > 1 ? 1.0 : rate));
-    g_threshold.store(threshold_for(g_rate.load()));
+    detail::g_sample_threshold.store(threshold_for(g_rate.load()));
     g_stall_timeout_ms.store(env_double("YGM_STALL_TIMEOUT_MS", 0.0));
     if (const char* p = std::getenv("YGM_POSTMORTEM_OUT");
         p != nullptr && *p != '\0') {
@@ -105,14 +104,11 @@ void set_sample_rate(double rate) {
   if (rate < 0) rate = 0;
   if (rate > 1) rate = 1;
   g_rate.store(rate, std::memory_order_relaxed);
-  g_threshold.store(threshold_for(rate), std::memory_order_relaxed);
+  detail::g_sample_threshold.store(threshold_for(rate),
+                                  std::memory_order_relaxed);
 }
 
 namespace detail {
-
-std::uint64_t sample_threshold() noexcept {
-  return g_threshold.load(std::memory_order_relaxed);
-}
 
 std::uint64_t journey_hash(int origin, std::uint32_t seq,
                            std::uint32_t salt) noexcept {

@@ -43,6 +43,7 @@
 // watchdog observes, it does not abort).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
@@ -88,8 +89,12 @@ void set_sample_rate(double rate);
 
 namespace detail {
 /// Sampling threshold: a message is sampled iff hash <= threshold - 1.
-/// 0 means sampling is off. Declared here so the hot-path check inlines.
-std::uint64_t sample_threshold() noexcept;
+/// 0 means sampling is off. Defined here so the hot-path check is one
+/// relaxed load; set_sample_rate() and YGM_TRACE_SAMPLE write it.
+inline std::atomic<std::uint64_t> g_sample_threshold{0};
+inline std::uint64_t sample_threshold() noexcept {
+  return g_sample_threshold.load(std::memory_order_relaxed);
+}
 /// splitmix64-based decision hash of (origin, seq, salt).
 std::uint64_t journey_hash(int origin, std::uint32_t seq,
                            std::uint32_t salt) noexcept;

@@ -531,6 +531,12 @@ bool endpoint::pump(bool from_engine) {
 void endpoint::wait(const match_miss& miss) {
   std::lock_guard lock(io_mtx_);
   if (pump_inbound()) return;  // fresh deliveries: match again now
+  // Ranks that died of a world abort go silent too. The flag is published
+  // before their fin, so re-reading it after the pump saw the fins lets
+  // the next match report the abort, not a would-block verdict that hides
+  // the rank that started it.
+  if (!aborted_ && world_marked_aborted()) mark_aborted_locked();
+  if (aborted_) return;
   YGM_CHECK(miss.delayed || !all_peers_silent(),
             std::string("shm ") + miss.op +
                 " would block forever: all peers finished and no matching "

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "apps/connected_components.hpp"
@@ -105,15 +106,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------------- connected components
 
-std::vector<vertex_id> run_cc(const topology& topo, scheme_kind kind,
-                              const std::vector<edge>& all_edges, vertex_id n,
-                              std::uint64_t delegate_threshold,
-                              std::uint64_t* broadcasts = nullptr,
-                              int* passes = nullptr) {
-  std::vector<vertex_id> labels(n, 0);
-  std::uint64_t bc_total = 0;
-  int pass_count = 0;
-  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
+/// One rank's share of a CC run, shipped back through launch_collect so
+/// the forked backends can report it too.
+struct cc_rank_out {
+  std::vector<vertex_id> labels;
+  std::uint64_t broadcasts = 0;
+  std::int32_t passes = 0;
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar & labels & broadcasts & passes;
+  }
+};
+
+/// `backend` nullopt defers to YGM_TRANSPORT, like ygm::launch.
+std::vector<vertex_id> run_cc(
+    const topology& topo, scheme_kind kind, const std::vector<edge>& all_edges,
+    vertex_id n, std::uint64_t delegate_threshold,
+    std::uint64_t* broadcasts = nullptr, int* passes = nullptr,
+    std::optional<ygm::transport::backend_kind> backend = std::nullopt) {
+  const ygm::run_options opts{.nranks = topo.num_ranks(), .backend = backend};
+  const auto blobs = ygm::launch_collect(opts, [&](sim::comm& c) {
     comm_world world(c, topo, kind);
     const round_robin_partition part{c.size()};
 
@@ -140,18 +153,26 @@ std::vector<vertex_id> run_cc(const topology& topo, scheme_kind kind,
 
     const auto res = ygm::apps::connected_components(world, mine, n,
                                                      delegates, 1024);
-    // Stitch the distributed labelling back together for comparison.
-    for (std::uint64_t i = 0; i < res.local_labels.size(); ++i) {
-      labels[part.global_id(c.rank(), i)] = res.local_labels[i];
-    }
-    const auto bc = c.allreduce(res.broadcasts, sim::op_sum{});
-    if (c.rank() == 0) {
-      bc_total = bc;
-      pass_count = res.passes;
-    }
+    cc_rank_out out{res.local_labels, res.broadcasts, res.passes};
+    std::vector<std::byte> blob;
+    ygm::ser::append_bytes(out, blob);
+    return blob;
   });
+
+  // Stitch the distributed labelling back together for comparison.
+  const round_robin_partition part{topo.num_ranks()};
+  std::vector<vertex_id> labels(n, 0);
+  std::uint64_t bc_total = 0;
+  for (std::size_t r = 0; r < blobs.size(); ++r) {
+    const auto out = ygm::ser::from_bytes<cc_rank_out>(
+        {blobs[r].data(), blobs[r].size()});
+    for (std::uint64_t i = 0; i < out.labels.size(); ++i) {
+      labels[part.global_id(static_cast<int>(r), i)] = out.labels[i];
+    }
+    bc_total += out.broadcasts;
+    if (r == 0 && passes != nullptr) *passes = out.passes;
+  }
   if (broadcasts != nullptr) *broadcasts = bc_total;
-  if (passes != nullptr) *passes = pass_count;
   return labels;
 }
 
@@ -190,10 +211,26 @@ TEST_P(CcSchemes, MatchesUnionFindOnRandomRmatGraph) {
 
   // Without delegates.
   EXPECT_EQ(run_cc(topo, GetParam(), all, n, 0), oracle);
-  // With aggressively many delegates (threshold 4), exercising broadcasts.
-  std::uint64_t broadcasts = 0;
-  EXPECT_EQ(run_cc(topo, GetParam(), all, n, 4, &broadcasts), oracle);
-  EXPECT_GT(broadcasts, 0u);
+  // With aggressively many delegates (threshold 4), exercising broadcasts:
+  // every edge class but plain (about 360 delegate-delegate and 2-12 of
+  // each one-delegate class per rank). Threshold 48 fills all four
+  // classes. On socket and shm the pre-classified ingest records cross
+  // process boundaries.
+  for (const std::uint64_t threshold : {4, 48}) {
+    for (const auto backend :
+         {ygm::transport::backend_kind::inproc,
+          ygm::transport::backend_kind::socket,
+          ygm::transport::backend_kind::shm}) {
+      std::uint64_t broadcasts = 0;
+      EXPECT_EQ(run_cc(topo, GetParam(), all, n, threshold, &broadcasts,
+                       nullptr, backend),
+                oracle)
+          << ygm::transport::to_string(backend) << " threshold "
+          << threshold;
+      EXPECT_GT(broadcasts, 0u) << ygm::transport::to_string(backend)
+                                << " threshold " << threshold;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,6 +241,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<scheme_kind>& info) {
       return std::string(ygm::routing::to_string(info.param));
     });
+
+TEST(ConnectedComponents, LeafMinimumReachesEveryLeafThroughADelegatedHub) {
+  // Star around hub 5, the only delegate: leaf 0's label reaches the other
+  // leaves only through the hub's replica, so both one-delegate edge
+  // classes must arrive intact.
+  const vertex_id n = 64;
+  std::vector<edge> edges;
+  for (vertex_id v = 0; v < n; ++v) {
+    if (v != 5) edges.push_back({5, v});
+  }
+  const auto labels =
+      run_cc(topology(2, 2), scheme_kind::node_local, edges, n, 10);
+  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(labels[v], 0u) << v;
+}
+
+TEST(ConnectedComponents, RejectsMoreThan2To62Vertices) {
+  // Ingest records carry their kind in the top two bits of a vertex id.
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
+    comm_world world(c, 1, scheme_kind::no_route);
+    EXPECT_THROW(ygm::apps::connected_components(
+                     world, {}, (vertex_id{1} << 62) + 1, delegate_set{}),
+                 ygm::error);
+  });
+}
 
 TEST(ConnectedComponents, DelegatesReduceLabelTrafficOnSkewedGraphs) {
   // A star graph: every edge touches the hub. Delegating the hub should

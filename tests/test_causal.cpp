@@ -164,8 +164,13 @@ TEST(CausalSampling, RateZeroIsWireByteIdenticalToUntraced) {
   causal::set_sample_rate(1.0);
   const std::uint64_t at_one = all_to_all_wire_bytes();
   tel::set_global(nullptr);
+#if defined(YGM_TELEMETRY_DISABLED)
+  // Compiled out, sampling never starts a journey: not one byte more.
+  EXPECT_EQ(at_one, baseline);
+#else
   EXPECT_GT(at_one, baseline);
   EXPECT_GT(on.merged_metrics().counters().at("trace.annotated_records"), 0u);
+#endif
 }
 
 TEST(CausalSampling, InplaceEncodingMatchesReferenceIncludingEscape) {
@@ -251,6 +256,9 @@ void run_journey_trial(scheme_kind scheme) {
 }
 
 TEST(CausalJourneys, CompleteAcrossAllSchemesMailbox) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   for (const auto scheme : ygm::routing::all_schemes) {
     SCOPED_TRACE(std::string(ygm::routing::to_string(scheme)));
     run_journey_trial(scheme);
@@ -258,6 +266,9 @@ TEST(CausalJourneys, CompleteAcrossAllSchemesMailbox) {
 }
 
 TEST(CausalJourneys, SurviveChaosAcrossSeedsAndSampleRates) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   // 16 seeds of the chaos harness with tracing enabled: the invariant
   // checks must stay green AND every sampled journey must still stitch
   // complete — packet corruption of the annotation records would break
@@ -308,6 +319,9 @@ TEST(CausalJourneys, SurviveChaosAcrossSeedsAndSampleRates) {
 // ------------------------------------------------------- stall watchdog
 
 TEST(CausalWatchdog, StallDumpsParseablePostmortem) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "stall watchdog compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   causal_config_guard guard;
   const std::string dump = "test_causal_postmortem.json";
   std::remove(dump.c_str());

@@ -293,6 +293,9 @@ TEST(DeliveryLedger, FlagsDuplicatesSealedDeliveriesAndCorruption) {
 // ------------------------------------------- telemetry <-> ledger bridge
 
 TEST(ChaosTelemetry, CountersAgreeWithLedgerAccounting) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "telemetry counters compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   // The same counters the ledger cross-checks per rank (mailbox_stats) are
   // published into telemetry; at global scope the merged counters must
   // reproduce the sweep's exact arithmetic.

@@ -30,13 +30,39 @@ using ygm::graph::vertex_id;
 // ----------------------------------------------------------- partitioning
 
 TEST(Partition, RoundRobinMappingRoundTrips) {
-  const round_robin_partition part{5};
-  for (vertex_id v = 0; v < 100; ++v) {
-    const int o = part.owner(v);
-    EXPECT_GE(o, 0);
-    EXPECT_LT(o, 5);
-    EXPECT_EQ(part.global_id(o, part.local_index(v)), v);
+  // owner()/local_index() take a shift and mask for P a power of two and
+  // divide otherwise; check them against % and / for every P up to 4100
+  // (all powers of two and primes there, both code paths) and the largest
+  // int P, on edge ids and a seeded spread of magnitudes.
+  ygm::xoshiro256 rng(1994);
+  std::vector<vertex_id> random_ids(10000);
+  for (auto& v : random_ids) v = rng() >> rng.below(64);
+  std::vector<int> ps;
+  for (int p = 1; p <= 4100; ++p) ps.push_back(p);
+  ps.push_back(2147483647);  // 2^31 - 1
+  for (const int p : ps) {
+    const round_robin_partition part{p};
+    ASSERT_EQ(part.num_ranks(), p);
+    const auto d = static_cast<vertex_id>(p);
+    std::vector<vertex_id> ids = {0,     1,
+                                  d - 1, d,
+                                  vertex_id{1} << 62, ~vertex_id{0}};
+    ids.insert(ids.end(), random_ids.begin(), random_ids.end());
+    for (const vertex_id v : ids) {
+      const int o = part.owner(v);
+      const std::uint64_t i = part.local_index(v);
+      if (o != static_cast<int>(v % d) || i != v / d ||
+          part.global_id(o, i) != v) {
+        FAIL() << "P=" << p << " v=" << v << ": owner " << o
+               << " local_index " << i;
+      }
+    }
   }
+}
+
+TEST(Partition, RejectsANonPositiveRankCount) {
+  EXPECT_THROW(round_robin_partition{0}, ygm::error);
+  EXPECT_THROW(round_robin_partition{-3}, ygm::error);
 }
 
 TEST(Partition, LocalCountsSumToTotal) {
@@ -291,28 +317,45 @@ TEST(Delegates, EmptySetBehaves) {
 
 TEST(Delegates, CollidingIdsMatchAnOrderedMapOracle) {
   // Multiples of 2^20 share their low bits, the worst case for a table
-  // indexed by them; check every member and many non-members.
-  std::vector<vertex_id> ids;
-  std::map<vertex_id, std::uint64_t> oracle;
-  for (vertex_id k = 0; k < 5000; ++k) {
-    oracle.emplace(k << 20, ids.size());
-    ids.push_back(k << 20);
-  }
-  const delegate_set d(ids);
-  ASSERT_EQ(d.size(), ids.size());
-  for (const auto& [id, slot] : oracle) {
-    ASSERT_TRUE(d.contains(id)) << id;
-    ASSERT_EQ(d.slot(id), slot) << id;
-    ASSERT_EQ(d.id_of_slot(slot), id);
-  }
+  // indexed by them. The 60000 seeded ids half-fill a 2^17-bucket table,
+  // so about half of the non-member probes start in an occupied bucket
+  // and walk a run before they miss; the dense probe around every member
+  // asks for 64 non-members per member.
   ygm::xoshiro256 rng(2024);
-  for (int i = 0; i < 100000; ++i) {
-    // Half near the members (same high bits, nonzero low bits), half
-    // anywhere in the id space.
-    const vertex_id v = (i % 2 == 0) ? (rng.below(5000) << 20) + 1 +
-                                           rng.below((1u << 20) - 1)
-                                     : rng();
-    ASSERT_EQ(d.contains(v), oracle.count(v) != 0) << v;
+  std::vector<vertex_id> spaced;
+  for (vertex_id k = 0; k < 5000; ++k) spaced.push_back(k << 20);
+  std::set<vertex_id> seeded;
+  while (seeded.size() < 60000) seeded.insert(rng() >> 8);
+  for (const auto& ids : {spaced, std::vector<vertex_id>(seeded.begin(),
+                                                         seeded.end())}) {
+    std::map<vertex_id, std::uint64_t> oracle;
+    for (const vertex_id v : ids) oracle.emplace(v, oracle.size());
+    const delegate_set d(ids);
+    ASSERT_EQ(d.size(), ids.size());
+    for (const auto& [id, slot] : oracle) {
+      ASSERT_TRUE(d.contains(id)) << id;
+      ASSERT_EQ(d.slot(id), slot) << id;
+      ASSERT_EQ(d.id_of_slot(slot), id);
+      ASSERT_EQ(d.find_slot(id), slot) << id;
+      for (vertex_id delta = 1; delta <= 32; ++delta) {
+        for (const vertex_id v : {id + delta, id - delta}) {
+          const auto it = oracle.find(v);
+          ASSERT_EQ(d.contains(v), it != oracle.end()) << v;
+          ASSERT_EQ(d.find_slot(v), it == oracle.end()
+                                        ? delegate_set::no_slot
+                                        : it->second)
+              << v;
+        }
+      }
+    }
+    for (int i = 0; i < 100000; ++i) {
+      // Half near the multiples of 2^20 (same high bits, nonzero low
+      // bits), half anywhere in the id space.
+      const vertex_id v = (i % 2 == 0) ? (rng.below(5000) << 20) + 1 +
+                                             rng.below((1u << 20) - 1)
+                                       : rng();
+      ASSERT_EQ(d.contains(v), oracle.count(v) != 0) << v;
+    }
   }
 }
 
@@ -320,6 +363,8 @@ TEST(Delegates, SlotOfANonDelegateThrows) {
   const delegate_set d({3, 17, 42});
   EXPECT_THROW((void)d.slot(4), ygm::error);
   EXPECT_THROW((void)delegate_set{}.slot(0), ygm::error);
+  EXPECT_EQ(d.find_slot(4), delegate_set::no_slot);
+  EXPECT_EQ(delegate_set{}.find_slot(0), delegate_set::no_slot);
 }
 
 TEST(Delegates, SelectionAgreesAcrossRanks) {

@@ -411,6 +411,9 @@ TEST(ProgressEngine, TeardownWithTrafficInFlight) {
 // The ring handoff is rank-internal — legs must match the wire path
 // exactly, engine or not.
 TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   namespace tel = ygm::telemetry;
   namespace causal = ygm::telemetry::causal;
   tel::session session;

@@ -473,6 +473,9 @@ TEST(Parity, SameSeededWorkloadSameLedgerOnAllBackends) {
 // ---------------------------------------------- telemetry per backend lane
 
 TEST(Telemetry, ProbeCountersPublishedPerBackendLane) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "transport counters compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   tel::session session;
   tel::set_global(&session);
 
@@ -501,6 +504,9 @@ TEST(Telemetry, ProbeCountersPublishedPerBackendLane) {
 }
 
 TEST(Telemetry, CollectiveCountersMatchAcrossBackends) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "transport counters compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   // One barrier and one allreduce on 5 ranks: the dissemination barrier
   // sends 3 rounds x 5 tokens, the binomial reduce + broadcast 4 + 4
   // messages. Every backend must send exactly those messages and count
@@ -535,6 +541,9 @@ TEST(Telemetry, CollectiveCountersMatchAcrossBackends) {
 }
 
 TEST(Telemetry, SocketLaneShipsAcrossProcesses) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "rank lanes compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   tel::session session;
   tel::set_global(&session);
   ygm::launch(on_backend(tp::backend_kind::socket, 3), [](sim::comm& c) {
@@ -557,6 +566,9 @@ TEST(Telemetry, SocketLaneShipsAcrossProcesses) {
 }
 
 TEST(Telemetry, ShmLaneShipsAcrossProcesses) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "rank lanes compiled out with -DYGM_TELEMETRY=OFF";
+#endif
   tel::session session;
   tel::set_global(&session);
   ygm::launch(on_backend(tp::backend_kind::shm, 3), [](sim::comm& c) {
