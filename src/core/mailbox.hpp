@@ -20,9 +20,10 @@
 //
 // Per-record cost: a message type the archive encodes as its own object
 // bytes (ser::is_bitwise_v) of at most one cache line is appended with raw
-// stores and copied back out on delivery, with no archive on either end;
-// every other type is serialized in place. Relays — forwards and
-// broadcast fan-out — copy the encoded record verbatim.
+// stores; every other type is serialized in place. Every bitwise type is
+// copied out on delivery once, straight into the object the callback sees,
+// with no archive. Relays — forwards and broadcast fan-out — copy the
+// encoded record verbatim.
 //
 // Termination (paper §IV-B): wait_empty() blocks until globally quiescent
 // (collective: every rank must call it); test_empty() is the nonblocking
@@ -58,6 +59,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
 #include <thread>
 #include <utility>
@@ -340,11 +342,15 @@ class mailbox {
   // bytes themselves (append_message, or a verbatim copy of an encoded
   // record), and finish_record (byte/record accounting).
 
-  /// Messages whose archive encoding is their object bytes skip the archive
-  /// on both ends. Capped at one cache line: raised to 1 KiB, the cap sent
-  /// the benchmark's 1 KiB shm records (bulk_local) down this path and cost
-  /// them a median 28% of their message rate (4 interleaved pairs, 4-core
-  /// Xeon VM, GCC 12, which copies the constant 1 KiB with `rep movsq`).
+  /// Messages whose archive encoding is their object bytes and that fit one
+  /// cache line are appended with raw stores; larger ones are serialized in
+  /// place, to the same bytes. (deliver() skips the archive for every
+  /// bitwise message.) Raised to 1 KiB, this cap cost the benchmark's 1 KiB
+  /// shm records (bulk_local) a median 28% of their message rate (4
+  /// interleaved pairs, 4-core Xeon VM, GCC 12). On that path
+  /// packet_append_bitwise's resize zero-fills the record before the copy,
+  /// and GCC expands a constant 1 KiB memcpy inline as `rep movsq`
+  /// (docs/PERF.md, "Life of a message").
   static constexpr bool bitwise_records =
       ser::is_bitwise_v<Msg> && sizeof(Msg) <= 64;
 
@@ -986,19 +992,36 @@ class mailbox {
   }
 
   void deliver(std::span<const std::byte> payload) {
-    Msg m{};
-    if constexpr (bitwise_records) {
+    if constexpr (ser::is_bitwise_v<Msg>) {
+      // The payload is the message's object bytes, so the size check stands
+      // in for the archive's truncation and trailing-byte checks, and one
+      // copy into uninitialised storage writes each byte once: memcpy
+      // implicitly creates the Msg there, std::launder names it.
       YGM_CHECK(payload.size() == sizeof(Msg),
                 "message payload size does not match the message type");
-      std::memcpy(&m, payload.data(), sizeof(Msg));
+      alignas(Msg) std::byte storage[sizeof(Msg)];
+      std::size_t n = sizeof(Msg);
+#if defined(__GNUC__)
+      // Past one cache line, hide the size so the copy stays a call to the
+      // library memcpy: GCC 12 expands a constant 1 KiB copy from the
+      // packet's unaligned payload as `rep movsq`, which cost bulk_local a
+      // median 20% of its message rate (docs/PERF.md, "Receive-side
+      // copies"). Smaller records keep their inline copy.
+      if constexpr (sizeof(Msg) > 64) asm("" : "+r"(n));
+#endif
+      std::memcpy(storage, payload.data(), n);
+      ++stats_.deliveries;
+      telemetry::add(telemetry::fast_counter::deliveries);
+      on_recv_(*std::launder(reinterpret_cast<const Msg*>(storage)));
     } else {
+      Msg m{};
       ser::iarchive ar(payload);
       ar & m;
       YGM_CHECK(ar.exhausted(), "message payload has trailing bytes");
+      ++stats_.deliveries;
+      telemetry::add(telemetry::fast_counter::deliveries);
+      on_recv_(m);
     }
-    ++stats_.deliveries;
-    telemetry::add(telemetry::fast_counter::deliveries);
-    on_recv_(m);
   }
 
   comm_world* world_;

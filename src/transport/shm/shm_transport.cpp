@@ -40,6 +40,14 @@ void wake_parked_producer(ring_ctrl& c) {
   }
 }
 
+/// An empty pooled buffer with room for a whole n-byte payload, which the
+/// ring reads then append to without reallocating.
+std::vector<std::byte> payload_buffer(std::size_t n) {
+  std::vector<std::byte> buf = core::buffer_pool::local().acquire(n);
+  buf.reserve(n);
+  return buf;
+}
+
 }  // namespace
 
 std::string segment_name(const std::string& dir, int rank) {
@@ -453,22 +461,23 @@ bool endpoint::pump_pair(int src, in_pair& p) {
     // Finish an in-progress spill first: per-pair frame order is main-ring
     // order, so nothing behind the spill header may be delivered before it.
     if (p.have_spill_hdr) {
-      const std::size_t want = p.spill_hdr.payload_len - p.spill_got;
+      const std::size_t want =
+          p.spill_hdr.payload_len - p.spill_payload.size();
       const std::size_t take = std::min(want, p.spill.readable());
       if (take != 0) {
-        p.spill.peek(0, p.spill_payload.data() + p.spill_got, take);
+        p.spill.read_append(0, take, p.spill_payload);
         p.spill.consume(take);
         spill_rx_bytes_ += take;
-        p.spill_got += take;
         moved = true;
         wake_parked_producer(p.spill.ctrl());
       }
-      if (p.spill_got < p.spill_hdr.payload_len) break;  // resume next pump
+      if (p.spill_payload.size() < p.spill_hdr.payload_len) {
+        break;  // resume next pump
+      }
       slot_->deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag,
                               p.spill_hdr.ctx, std::move(p.spill_payload)});
       p.spill_payload = {};
       p.have_spill_hdr = false;
-      p.spill_got = 0;
       continue;
     }
     if (p.main.readable() < sizeof(wire_header)) break;
@@ -476,14 +485,13 @@ bool endpoint::pump_pair(int src, in_pair& p) {
     p.main.peek(0, &hdr, sizeof(hdr));
     if (hdr.kind == static_cast<std::uint32_t>(frame_kind::data)) {
       // Whole-frame publication: the payload is readable the moment the
-      // header is. Read it straight into a pooled vector — the buffer that
+      // header is. Append it straight to a pooled vector — the buffer that
       // crosses into mail_slot (and later the application's recv) is the
-      // one the ring filled.
+      // one the ring filled, and the ring copy is its only write.
       std::vector<std::byte> payload;
       if (hdr.payload_len > 0) {
-        payload = core::buffer_pool::local().acquire(hdr.payload_len);
-        payload.resize(hdr.payload_len);
-        p.main.peek(sizeof(hdr), payload.data(), hdr.payload_len);
+        payload = payload_buffer(hdr.payload_len);
+        p.main.read_append(sizeof(hdr), hdr.payload_len, payload);
       }
       p.main.consume(sizeof(hdr) + hdr.payload_len);
       ring_rx_bytes_ += sizeof(hdr) + hdr.payload_len;
@@ -497,9 +505,7 @@ bool endpoint::pump_pair(int src, in_pair& p) {
       wake_parked_producer(p.main.ctrl());
       p.spill_hdr = hdr;
       p.have_spill_hdr = true;
-      p.spill_got = 0;
-      p.spill_payload = core::buffer_pool::local().acquire(hdr.payload_len);
-      p.spill_payload.resize(hdr.payload_len);
+      p.spill_payload = payload_buffer(hdr.payload_len);
     } else {
       YGM_CHECK(false, "corrupt frame kind in shm ring from rank " +
                            std::to_string(src));

@@ -149,14 +149,13 @@ class endpoint final : public transport::endpoint {
 
   /// Consumer-side view of one inbound pair, plus spill reassembly state:
   /// the pump never blocks mid-frame, so a partially-streamed spill payload
-  /// parks here between passes.
+  /// parks here between passes (its size is the bytes received so far).
   struct in_pair {
     ring_view main;
     ring_view spill;
     bool have_spill_hdr = false;
     wire_header spill_hdr{};
     std::vector<std::byte> spill_payload;
-    std::size_t spill_got = 0;
     bool fin_seen = false;
   };
 

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace ygm::transport::shm {
 
@@ -155,7 +156,21 @@ class ring_view {
   /// Copy n bytes starting `offset` bytes past the head cursor, without
   /// consuming. The caller must have checked readable() >= offset + n.
   void peek(std::size_t offset, void* out, std::size_t n) const noexcept {
-    copy_out(head_cursor() + offset, out, n);
+    auto* dst = static_cast<std::byte*>(out);
+    read_pieces(offset, n, [&](const std::byte* p, std::size_t k) {
+      std::memcpy(dst, p, k);
+      dst += k;
+    });
+  }
+
+  /// Like peek(), but appends the n bytes to `out`, so each byte of the
+  /// vector is written once (no zero-fill ahead of the copy). Reserve the
+  /// whole payload first and repeated reads never reallocate.
+  void read_append(std::size_t offset, std::size_t n,
+                   std::vector<std::byte>& out) const {
+    read_pieces(offset, n, [&](const std::byte* p, std::size_t k) {
+      out.insert(out.end(), p, p + k);
+    });
   }
 
   /// Free n bytes back to the producer (release so the producer's
@@ -184,13 +199,16 @@ class ring_view {
       std::memcpy(data_, static_cast<const std::byte*>(p) + first, n - first);
     }
   }
-  void copy_out(std::uint64_t at, void* out, std::size_t n) const noexcept {
-    const std::size_t off = static_cast<std::size_t>(at) & mask_;
+  /// Hand the n bytes starting `offset` past the head cursor to
+  /// sink(bytes, count) in order: one piece, or two when they wrap past
+  /// the end of the data area.
+  template <class Sink>
+  void read_pieces(std::size_t offset, std::size_t n, Sink&& sink) const {
+    const std::size_t off =
+        static_cast<std::size_t>(head_cursor() + offset) & mask_;
     const std::size_t first = n < cap_ - off ? n : cap_ - off;
-    std::memcpy(out, data_ + off, first);
-    if (first < n) {
-      std::memcpy(static_cast<std::byte*>(out) + first, data_, n - first);
-    }
+    sink(static_cast<const std::byte*>(data_ + off), first);
+    if (first < n) sink(static_cast<const std::byte*>(data_), n - first);
   }
 
   ring_ctrl* ctrl_ = nullptr;

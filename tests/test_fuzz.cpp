@@ -180,20 +180,21 @@ TEST(MailboxEdge, ManySmallMessagesUnderTinyCapacity) {
 // Fixed-width records are copied straight into the message on delivery,
 // so the payload size is the only guard between a mismatched peer and an
 // out-of-bounds read. Every rank builds one mailbox (so the tag blocks
-// match), but rank 1's message type is one byte short or long.
+// match), but rank 1's message type is one byte short or long. Records of
+// one cache line or less are appended with raw stores, larger ones through
+// the archive; both are delivered without it.
 template <std::size_t N>
 struct raw_bytes {
   std::array<std::uint8_t, N> b{};
 };
 
-template <class Peer>
+template <class Own, class Peer>
 void launch_with_mismatched_peer() {
-  using own = raw_bytes<16>;
-  static_assert(ygm::ser::is_bitwise_v<own> && ygm::ser::is_bitwise_v<Peer>);
+  static_assert(ygm::ser::is_bitwise_v<Own> && ygm::ser::is_bitwise_v<Peer>);
   ygm::launch({.nranks = 2}, [](sim::comm& c) {
     comm_world world(c, topology(1, 2), scheme_kind::no_route);
     if (c.rank() == 0) {
-      mailbox<own> mb(world, [](const own&) {});
+      mailbox<Own> mb(world, [](const Own&) {});
       mb.wait_empty();
     } else {
       mailbox<Peer> mb(world, [](const Peer&) {});
@@ -204,8 +205,16 @@ void launch_with_mismatched_peer() {
 }
 
 TEST(MailboxEdge, MismatchedFixedWidthRecordsAreRejected) {
-  EXPECT_THROW(launch_with_mismatched_peer<raw_bytes<15>>(), ygm::error);
-  EXPECT_THROW(launch_with_mismatched_peer<raw_bytes<17>>(), ygm::error);
+  using small = raw_bytes<16>;
+  EXPECT_THROW((launch_with_mismatched_peer<small, raw_bytes<15>>()),
+               ygm::error);
+  EXPECT_THROW((launch_with_mismatched_peer<small, raw_bytes<17>>()),
+               ygm::error);
+  using wide = raw_bytes<1024>;
+  EXPECT_THROW((launch_with_mismatched_peer<wide, raw_bytes<1023>>()),
+               ygm::error);
+  EXPECT_THROW((launch_with_mismatched_peer<wide, raw_bytes<1025>>()),
+               ygm::error);
 }
 
 TEST(MailboxEdge, InterleavedSendAndBcastStreams) {

@@ -56,6 +56,7 @@ TEST(SpscRing, FramesSurviveWrapAround) {
   // Frame sizes coprime with the capacity so the wrap point lands inside
   // headers, payloads, and everywhere in between over the run.
   std::uint64_t next = 0;
+  int wrapped = 0;
   for (int i = 0; i < 500; ++i) {
     const std::size_t n = 1 + static_cast<std::size_t>((i * 37) % 90);
     std::vector<std::uint8_t> frame(n);
@@ -67,10 +68,19 @@ TEST(SpscRing, FramesSurviveWrapAround) {
     std::vector<std::uint8_t> got(n);
     r.consumer.peek(0, got.data(), n);
     EXPECT_EQ(got, frame) << "bytes corrupted across wrap at iteration " << i;
+    // The appending read the shm pump uses, into a vector that starts
+    // empty, must see the same bytes (its wrap branch included).
+    std::vector<std::byte> appended;
+    r.consumer.read_append(0, n, appended);
+    ASSERT_EQ(appended.size(), n);
+    EXPECT_EQ(std::memcmp(appended.data(), frame.data(), n), 0)
+        << "appended bytes corrupted across wrap at iteration " << i;
+    if (ring_fixture::cap - (next % ring_fixture::cap) < n) ++wrapped;
     r.consumer.consume(n);
     next += n;
   }
   EXPECT_EQ(r.producer.in_flight(), 0u);
+  EXPECT_GT(wrapped, 0) << "no frame straddled the ring's end";
 }
 
 TEST(SpscRing, FullRingRefusesWritesUntilConsumed) {

@@ -2,13 +2,16 @@
 // the multi-process socket backend (point-to-point, collectives,
 // communicator algebra, abort propagation), the delivery-invariant ledger
 // and a reduced chaos sweep on BOTH backends, cross-backend parity of a
-// seeded workload, and per-backend telemetry publication.
+// seeded workload, 1 KiB fixed-width records on every backend (inline and
+// spilled on shm), and per-backend telemetry publication.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -18,6 +21,7 @@
 #include "ser/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
+#include "transport/shm/shm_transport.hpp"
 
 namespace {
 
@@ -221,6 +225,102 @@ INSTANTIATE_TEST_SUITE_P(
                       tp::backend_kind::shm),
     [](const ::testing::TestParamInfo<tp::backend_kind>& info) {
       return std::string(tp::to_string(info.param));
+    });
+
+// ------------------------------- large fixed-width records, per backend
+
+// A 1 KiB trivially copyable record with no serialize(): the archive
+// encodes it as its object bytes, and delivery copies those bytes straight
+// into the object the callback sees. Every byte carries its (source,
+// sequence) pattern, and the non-zero defaults make a callback handed a
+// default-constructed record fail the check.
+struct wide_rec {
+  std::uint32_t src = 0xffffffffu;
+  std::uint32_t seq = 0xffffffffu;
+  std::array<std::uint8_t, 1016> body{};
+};
+static_assert(sizeof(wide_rec) == 1024 && ygm::ser::is_bitwise_v<wide_rec>);
+
+std::uint8_t wide_byte(std::uint32_t src, std::uint32_t seq, std::size_t i) {
+  return static_cast<std::uint8_t>(src * 131u + seq * 7u + i * 13u + 1u);
+}
+
+wide_rec make_wide(int src, std::uint32_t seq) {
+  wide_rec r;
+  r.src = static_cast<std::uint32_t>(src);
+  r.seq = seq;
+  for (std::size_t i = 0; i < r.body.size(); ++i) {
+    r.body[i] = wide_byte(r.src, seq, i);
+  }
+  return r;
+}
+
+/// (backend, mailbox capacity). With three destinations per rank a packet
+/// carries about a third of the capacity: 96 KiB spills on shm (packets
+/// over tp::shm::inline_payload_max), 4 KiB stays inline.
+using wide_case = std::tuple<tp::backend_kind, std::size_t>;
+constexpr std::size_t wide_spill_capacity = 96 * 1024;
+constexpr std::size_t wide_inline_capacity = 4 * 1024;
+
+class WideRecords : public ::testing::TestWithParam<wide_case> {};
+
+TEST_P(WideRecords, EveryByteArrivesExactlyOnce) {
+  const auto [backend, capacity] = GetParam();
+  constexpr std::uint32_t per_dest = 200;
+  ygm::launch(on_backend(backend, 4), [capacity](sim::comm& c) {
+    ygm::core::comm_world world(c, ygm::routing::topology(1, 4),
+                                ygm::routing::scheme_kind::no_route);
+    const int me = c.rank();
+    const int p = c.size();
+    std::vector<std::vector<std::uint32_t>> seen(
+        static_cast<std::size_t>(p), std::vector<std::uint32_t>(per_dest));
+    std::uint64_t corrupt = 0;
+    ygm::core::mailbox<wide_rec> mb(
+        world,
+        [&](const wide_rec& r) {
+          bool ok = r.src < static_cast<std::uint32_t>(p) && r.seq < per_dest;
+          for (std::size_t i = 0; ok && i < r.body.size(); ++i) {
+            ok = r.body[i] == wide_byte(r.src, r.seq, i);
+          }
+          if (!ok) {
+            ++corrupt;
+            return;
+          }
+          ++seen[r.src][r.seq];
+        },
+        capacity);
+    for (std::uint32_t s = 0; s < per_dest; ++s) {
+      for (int k = 1; k < p; ++k) mb.send((me + k) % p, make_wide(me, s));
+    }
+    mb.wait_empty();
+    EXPECT_EQ(corrupt, 0u);
+    for (int src = 0; src < p; ++src) {
+      const std::uint32_t want = src == me ? 0 : 1;
+      for (std::uint32_t s = 0; s < per_dest; ++s) {
+        ASSERT_EQ(seen[static_cast<std::size_t>(src)][s], want)
+            << "record (" << src << ", " << s << ") at rank " << me;
+      }
+    }
+    const double avg = mb.stats().avg_local_packet_bytes();
+    if (capacity == wide_spill_capacity) {
+      EXPECT_GT(avg, static_cast<double>(tp::shm::inline_payload_max));
+    } else {
+      EXPECT_LT(avg, static_cast<double>(tp::shm::inline_payload_max));
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, WideRecords,
+    ::testing::Combine(::testing::Values(tp::backend_kind::inproc,
+                                         tp::backend_kind::socket,
+                                         tp::backend_kind::shm),
+                       ::testing::Values(wide_spill_capacity,
+                                         wide_inline_capacity)),
+    [](const ::testing::TestParamInfo<wide_case>& info) {
+      return std::string(tp::to_string(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == wide_spill_capacity ? "_spill"
+                                                             : "_inline");
     });
 
 // --------------------------------------------------- shm backend basics
