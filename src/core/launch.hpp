@@ -18,7 +18,8 @@
 //   trace_sample     YGM_TRACE_SAMPLE    0 (tracing off)
 //   virtual_network  (none)              untimed
 //   credit_bytes     YGM_CREDIT_BYTES    1 MiB per destination (0 = off)
-//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per peer (0 = off)
+//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per peer (0 = off;
+//                                        socket and inproc only)
 //   sample_ms        YGM_SAMPLE_MS       100 ms live sampler (0 = off)
 //   statusz          YGM_STATUSZ         off (per-process UDS endpoint)
 //
@@ -94,9 +95,10 @@ struct run_options {
   /// to at least twice their flush capacity so acks stay live.
   std::optional<std::size_t> credit_bytes{};
 
-  /// Per-peer outbound byte cap enforced by the transport backends
-  /// beneath the credit budget; nullopt defers to YGM_OUTQ_CAP_BYTES
-  /// (default 4 MiB). 0 disables the cap.
+  /// Per-peer outbound byte cap enforced by the socket and inproc
+  /// backends beneath the credit budget; nullopt defers to
+  /// YGM_OUTQ_CAP_BYTES (default 4 MiB). 0 disables the cap. The shm
+  /// backend ignores it: its fixed per-pair ring is its transport bound.
   std::optional<std::size_t> outq_cap_bytes{};
 
   /// Live-telemetry sampling period in milliseconds (docs/TELEMETRY.md

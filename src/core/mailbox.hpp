@@ -955,8 +955,6 @@ class mailbox {
         // those buffers, so the span stays valid across the fan-out.
         for (const int nh : world_->bcast_next_hops(rec.addr)) {
           ++stats_.forwards;
-          fwd_marker_.record(static_cast<std::uint64_t>(rec.addr),
-                             static_cast<std::uint64_t>(nh));
           enqueue(nh, rec.encoded, rec.payload.size());
         }
       } else if (rec.addr == rank_) {
@@ -976,8 +974,6 @@ class mailbox {
       } else {
         ++stats_.forwards;
         const int nh = world_->next_hop(rec.addr);
-        fwd_marker_.record(static_cast<std::uint64_t>(rec.addr),
-                           static_cast<std::uint64_t>(nh));
         if (pending_trace != nullptr) {
           telemetry::causal::record_hop(*pending_trace,
                                         telemetry::causal::hop_kind::forward,
@@ -1090,10 +1086,6 @@ class mailbox {
   std::vector<std::vector<pending_trace>> pending_traces_;
   std::vector<std::byte> trace_scratch_;  // encoded annotation payloads
   std::uint32_t trace_seq_ = 0;
-
-  // Timeline event for each record this rank re-queues as an intermediary:
-  // arg0 = final destination (or bcast origin), arg1 = chosen next hop.
-  telemetry::instant_marker fwd_marker_{"mailbox.forward", "dst", "next_hop"};
 };
 
 }  // namespace ygm::core

@@ -8,13 +8,14 @@
 //
 //   * send()        how bytes leave. Eager but *bounded*: the payload is
 //                   framed and either delivered (inproc) or queued toward
-//                   the peer. Each backend enforces an outbound byte cap
-//                   (outq_cap_bytes(), YGM_OUTQ_CAP_BYTES, 0 disables): at
-//                   the cap the socket and shm backends block acceptance
-//                   until the peer drains (pumping their own receive side
-//                   meanwhile, so two mutually-flooding ranks cannot
-//                   deadlock), and the inproc backend applies a bounded
-//                   wait on the destination slot's queued bytes. The
+//                   the peer. Each backend bounds its outbound bytes: the
+//                   socket backend at outq_cap_bytes() (YGM_OUTQ_CAP_BYTES,
+//                   0 disables) blocks acceptance until the peer drains,
+//                   and the shm backend blocks the same way when the
+//                   pair's fixed ring is full (both pump their own receive
+//                   side meanwhile, so two mutually-flooding ranks cannot
+//                   deadlock); the inproc backend applies a bounded wait
+//                   on the destination slot's queued bytes at the cap. The
 //                   payload vector is taken by value and recycled through
 //                   core::buffer_pool when the bytes are off this rank's
 //                   hands, so the zero-copy packet discipline survives the
@@ -69,11 +70,12 @@ std::optional<backend_kind> backend_from_name(std::string_view name) noexcept;
 /// silently falling back to inproc would fake multi-process coverage).
 backend_kind backend_from_env();
 
-/// Per-peer outbound byte cap, the transport-layer floor under the
-/// mailbox credit budget (docs/BACKPRESSURE.md). Resolution: launch
-/// override (run_options::outq_cap_bytes via set_outq_cap_bytes) >
-/// YGM_OUTQ_CAP_BYTES > 4 MiB default; 0 disables the cap and restores the
-/// historical unbounded-queue behaviour.
+/// Per-peer outbound byte cap of the socket and inproc backends, the
+/// transport-layer floor under the mailbox credit budget
+/// (docs/BACKPRESSURE.md); shm is bounded by its rings instead.
+/// Resolution: launch override (run_options::outq_cap_bytes via
+/// set_outq_cap_bytes) > YGM_OUTQ_CAP_BYTES > 4 MiB default; 0 disables
+/// the cap and restores the historical unbounded-queue behaviour.
 std::size_t outq_cap_bytes() noexcept;
 
 /// Override the cap process-wide (launch plumbing; set before worlds come

@@ -291,6 +291,13 @@ std::vector<std::vector<std::byte>> launch(
       } else if (got == 0 || (got < 0 && errno != EINTR && errno != EAGAIN)) {
         ::close(fd);
         fd = -1;
+        // No report: the rank died without unwinding (a signal, _exit), so
+        // it never poisoned the world. Shm peers parked on it would wait
+        // forever; socket peers see its sockets close on their own.
+        if (backend == backend_kind::shm &&
+            raw[static_cast<std::size_t>(pfd_rank[i])].empty()) {
+          shm::poison_world(dir, nranks);
+        }
       }
     }
   }

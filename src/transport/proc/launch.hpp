@@ -7,6 +7,9 @@
 // segment names from the directory's basename and the parent shm_unlinks
 // "/<token>.r<i>" for every rank after reaping, because a child that died
 // abnormally (signal, _exit mid-run) never reaches its endpoint destructor.
+// Such a child also never poisons its shm peers, so the parent does it for
+// the child (shm::poison_world) as soon as its result pipe closes without
+// a report.
 //
 // Result channel: one pipe per rank. A child runs the rank body, then ships
 // a single framed blob — status, error text, the body's result bytes, and a

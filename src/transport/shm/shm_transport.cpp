@@ -28,6 +28,14 @@ pair_block* block_at(void* base, int producer) {
       static_cast<std::size_t>(producer) * sizeof(pair_block));
 }
 
+/// Mark a segment's world aborted and ring its recv doorbell, so its
+/// owner notices now rather than on its next bounded park.
+void poison(seg_header& h) {
+  h.aborted.store(1, std::memory_order_release);
+  h.recv_seq.fetch_add(1, std::memory_order_release);
+  futex_wake(&h.recv_seq, 1);
+}
+
 /// Wake the (single) producer parked on a ring's space doorbell, if any.
 /// Pairs with the producer's parked-flag Dekker check: our head store
 /// (release) happened before the seq_cst fence, so either the producer's
@@ -55,6 +63,26 @@ std::string segment_name(const std::string& dir, int rank) {
   const std::string token =
       slash == std::string::npos ? dir : dir.substr(slash + 1);
   return "/" + token + ".r" + std::to_string(rank);
+}
+
+void poison_world(const std::string& dir, int nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    const int fd = ::shm_open(segment_name(dir, r).c_str(), O_RDWR, 0600);
+    if (fd < 0) continue;  // never created, or already unlinked
+    // Only the header is touched; a segment not yet sized that far is
+    // still in its creator's rendezvous, which has its own deadline.
+    struct stat st{};
+    void* base = MAP_FAILED;
+    if (::fstat(fd, &st) == 0 &&
+        static_cast<std::size_t>(st.st_size) >= sizeof(seg_header)) {
+      base = ::mmap(nullptr, sizeof(seg_header), PROT_READ | PROT_WRITE,
+                    MAP_SHARED, fd, 0);
+    }
+    ::close(fd);
+    if (base == MAP_FAILED) continue;
+    poison(*static_cast<seg_header*>(base));
+    ::munmap(base, sizeof(seg_header));
+  }
 }
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
@@ -103,9 +131,7 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   h->recv_seq.store(0, std::memory_order_relaxed);
   h->recv_parked.store(0, std::memory_order_relaxed);
   for (int p = 0; p < nranks_; ++p) {
-    auto* pb = new (block_at(base, p)) pair_block;
-    pb->main_ctrl.init();
-    pb->spill_ctrl.init();
+    (new (block_at(base, p)) pair_block)->ctrl.init();
   }
   // Everything above must be visible before the magic: openers acquire it.
   h->magic.store(seg_magic, std::memory_order_release);
@@ -113,9 +139,8 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   for (int p = 0; p < nranks_; ++p) {
     if (p == rank_) continue;
     auto* pb = block_at(base, p);
-    auto& ip = in_[static_cast<std::size_t>(p)];
-    ip.main = ring_view(&pb->main_ctrl, pb->main_data, main_ring_bytes);
-    ip.spill = ring_view(&pb->spill_ctrl, pb->spill_data, spill_ring_bytes);
+    in_[static_cast<std::size_t>(p)].ring =
+        ring_view(&pb->ctrl, pb->data, ring_bytes);
   }
 
   // Map every peer's segment (we are the producer of our pair_block there),
@@ -166,9 +191,8 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
     }
     segments_[static_cast<std::size_t>(d)] = {pbase, bytes, ph};
     auto* mine = block_at(pbase, rank_);
-    auto& op = out_[static_cast<std::size_t>(d)];
-    op.main = ring_view(&mine->main_ctrl, mine->main_data, main_ring_bytes);
-    op.spill = ring_view(&mine->spill_ctrl, mine->spill_data, spill_ring_bytes);
+    out_[static_cast<std::size_t>(d)].ring =
+        ring_view(&mine->ctrl, mine->data, ring_bytes);
   }
 }
 
@@ -180,7 +204,7 @@ endpoint::~endpoint() {
   if (nranks_ > 1) {
     const double deadline = monotonic_seconds() + (aborted_ ? 1.0 : 10.0);
 
-    // Orderly teardown: mark fin on every outbound main ring (after the last
+    // Orderly teardown: mark fin on every outbound ring (after the last
     // published frame, so fin-after-data order holds), then keep draining
     // inbound until every peer has said fin too. Unlike the socket backend
     // nothing outbound can be lost here — our published frames live in the
@@ -190,7 +214,7 @@ endpoint::~endpoint() {
     for (int d = 0; d < nranks_; ++d) {
       if (d == rank_) continue;
       auto& op = out_[static_cast<std::size_t>(d)];
-      op.main.set_fin();
+      op.ring.set_fin();
       op.fin_sent = true;
       ding_peer(d);
     }
@@ -212,10 +236,7 @@ endpoint::~endpoint() {
   publish_stats();
   telemetry::count("transport.shm.ring_tx_bytes", ring_tx_bytes_);
   telemetry::count("transport.shm.ring_rx_bytes", ring_rx_bytes_);
-  telemetry::count("transport.shm.spill_tx_bytes", spill_tx_bytes_);
-  telemetry::count("transport.shm.spill_rx_bytes", spill_rx_bytes_);
   telemetry::count("transport.shm.ring_full_stalls", ring_full_stalls_);
-  telemetry::count("transport.shm.outq_stalls", outq_stalls_);
   telemetry::count("transport.shm.outq_bytes", outq_peak_bytes_);
   telemetry::count("transport.shm.futex_parks", futex_parks_);
 
@@ -247,7 +268,7 @@ void endpoint::publish_outq_gauge() const {
   // io_mtx_, the engine), keeping a single writer per lane gauge slot.
   std::size_t qb = 0;
   for (const auto& op : out_) {
-    if (op.main.valid()) qb += op.main.in_flight() + op.spill.in_flight();
+    if (op.ring.valid()) qb += op.ring.in_flight();
   }
   telemetry::live::gauge_set(telemetry::live::gauge::outq_bytes,
                              static_cast<double>(qb));
@@ -286,9 +307,7 @@ void endpoint::park_for_inbound(std::uint32_t timeout_us) {
     for (int r = 0; r < nranks_ && !ready; ++r) {
       if (r == rank_) continue;
       const auto& p = in_[static_cast<std::size_t>(r)];
-      if (p.main.readable() != 0 ||
-          (p.have_spill_hdr && p.spill.readable() != 0) ||
-          (p.main.fin() && !p.fin_seen)) {
+      if (p.ring.readable() != 0 || (p.ring.fin() && !p.fin_seen)) {
         ready = true;
       }
     }
@@ -300,16 +319,18 @@ void endpoint::park_for_inbound(std::uint32_t timeout_us) {
   h->recv_parked.store(0, std::memory_order_relaxed);
 }
 
-bool endpoint::wait_for_space(int dest, ring_view& ring, std::size_t need) {
+bool endpoint::wait_for_space(int dest, std::size_t need) {
   // Caller holds io_mtx_. Pump our own inbound while waiting so two
   // mutually-flooding ranks drain each other (the consumer we are waiting
   // on may itself be blocked posting to us).
+  ring_view& ring = out_[static_cast<std::size_t>(dest)].ring;
+  if (ring.free_space() >= need) return true;
+  ++ring_full_stalls_;
   for (;;) {
     if (aborted_ || world_marked_aborted()) {
       mark_aborted_locked();
       return false;
     }
-    if (ring.free_space() >= need) return true;
     pump_inbound();
     if (ring.free_space() >= need) return true;
     auto& c = ring.ctrl();
@@ -323,6 +344,7 @@ bool endpoint::wait_for_space(int dest, ring_view& ring, std::size_t need) {
       futex_wait(&c.space_seq, seen, 1000);
     }
     c.producer_parked.store(0, std::memory_order_relaxed);
+    if (ring.free_space() >= need) return true;
   }
 }
 
@@ -331,188 +353,89 @@ void endpoint::send(int dest, envelope&& e) {
     slot_->deliver(std::move(e));
     return;
   }
-  const bool spill = e.payload.size() > inline_payload_max;
   wire_header hdr;
-  hdr.kind = static_cast<std::uint32_t>(spill ? frame_kind::spill
-                                              : frame_kind::data);
+  hdr.kind = data_frame;
   hdr.payload_len = static_cast<std::uint32_t>(e.payload.size());
   hdr.src = e.src;
   hdr.tag = e.tag;
   hdr.ctx = e.ctx;
-  const std::size_t frame_bytes = sizeof(wire_header) + e.payload.size();
 
-  bool cap_stalled = false;
-  for (;;) {
-    std::unique_lock lock(io_mtx_);
-    if (aborted_ || world_marked_aborted()) {
-      // World is poisoned: drop the frame; callers surface the error on
-      // their next receive (the socket backend's fail_peer clears its queue
-      // the same way).
-      mark_aborted_locked();
-      if (!e.payload.empty()) {
-        core::buffer_pool::local().release(std::move(e.payload));
-      }
-      return;
-    }
-    auto& op = out_[static_cast<std::size_t>(dest)];
-    YGM_CHECK(op.main.valid() && !op.fin_sent, "post after shm teardown");
-
-    // The socket backend's accept rule, with in-flight ring bytes standing
-    // in for queued outq bytes: accept when nothing is in flight (a single
-    // frame beyond the cap must still pass) or the frame fits under
-    // outq_cap_bytes(). The ring's own capacity is the hard floor below.
-    const std::size_t cap = transport::outq_cap_bytes();
-    const std::size_t in_flight = op.main.in_flight() + op.spill.in_flight();
-    if (cap != 0 && in_flight != 0 && in_flight + frame_bytes > cap) {
-      if (!cap_stalled) {
-        cap_stalled = true;
-        ++outq_stalls_;
-      }
-      pump_inbound();
-      publish_outq_gauge();
-      lock.unlock();
-      // Park on the main ring's space doorbell: the consumer dings it as it
-      // frees space. A consumer draining only the spill ring dings the
-      // other doorbell, so keep the wait short — worst case one timeout of
-      // latency, same order as the socket backend's poll interval.
-      auto& c = op.main.ctrl();
-      const std::uint32_t seen = c.space_seq.load(std::memory_order_acquire);
-      c.producer_parked.store(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (op.main.in_flight() + op.spill.in_flight() + frame_bytes > cap &&
-          segments_[static_cast<std::size_t>(dest)].hdr->aborted.load(
-              std::memory_order_relaxed) == 0) {
-        ++futex_parks_;
-        futex_wait(&c.space_seq, seen, 2000);
-      }
-      c.producer_parked.store(0, std::memory_order_relaxed);
-      continue;
-    }
-
-    if (!spill) {
-      if (op.main.free_space() < frame_bytes) {
-        ++ring_full_stalls_;
-        if (!wait_for_space(dest, op.main, frame_bytes)) {
-          if (!e.payload.empty()) {
-            core::buffer_pool::local().release(std::move(e.payload));
-          }
-          return;
-        }
-      }
-      // Header + payload staged together, one release store publishes the
-      // whole frame: the consumer never sees a torn size or a header whose
-      // payload has not arrived.
-      op.main.stage(&hdr, sizeof(hdr));
-      if (!e.payload.empty()) op.main.stage(e.payload.data(), e.payload.size());
-      ring_tx_bytes_ += op.main.publish();
-      if (!e.payload.empty()) {
-        core::buffer_pool::local().release(std::move(e.payload));
-      }
-      ding_peer(dest);
-    } else {
-      // Spill frame: the header takes the frame's place in main-ring order,
-      // then the payload streams through the spill ring in chunks (so
-      // payloads larger than the ring still pass). The pooled packet buffer
-      // is the memcpy source — no staging copy. The lock is held across the
-      // stream: frames toward one peer must not interleave, and we keep
-      // pumping our own inbound inside the waits so liveness never depends
-      // on releasing it.
-      if (op.main.free_space() < sizeof(hdr)) {
-        ++ring_full_stalls_;
-        if (!wait_for_space(dest, op.main, sizeof(hdr))) {
-          core::buffer_pool::local().release(std::move(e.payload));
-          return;
-        }
-      }
-      op.main.stage(&hdr, sizeof(hdr));
-      ring_tx_bytes_ += op.main.publish();
-      ding_peer(dest);
+  std::lock_guard lock(io_mtx_);
+  auto& op = out_[static_cast<std::size_t>(dest)];
+  if (aborted_ || world_marked_aborted()) {
+    // World is poisoned: drop the frame; callers surface the error on
+    // their next receive (the socket backend's fail_peer clears its queue
+    // the same way). A frame cut short by an abort below is dropped too.
+    mark_aborted_locked();
+  } else {
+    YGM_CHECK(op.ring.valid() && !op.fin_sent, "post after shm teardown");
+    // Stream the frame: the header waits for room of its own and goes out
+    // with as much payload as fits in one publish; the rest follows in
+    // chunks as the consumer frees room. The pooled packet buffer is the
+    // memcpy source — no staging copy. The lock is held across the
+    // stream: frames toward one peer must not interleave, and
+    // wait_for_space pumps our own inbound, so liveness never depends on
+    // releasing it.
+    if (wait_for_space(dest, sizeof(hdr))) {
+      op.ring.stage(&hdr, sizeof(hdr));
       std::size_t sent = 0;
-      while (sent < e.payload.size()) {
-        std::size_t room = op.spill.free_space();
-        if (room == 0) {
-          ++ring_full_stalls_;
-          if (!wait_for_space(dest, op.spill, 1)) {
-            core::buffer_pool::local().release(std::move(e.payload));
-            return;
-          }
-          room = op.spill.free_space();
-        }
-        const std::size_t take = std::min(room, e.payload.size() - sent);
-        op.spill.stage(e.payload.data() + sent, take);
-        spill_tx_bytes_ += op.spill.publish();
+      for (;;) {
+        const std::size_t take =
+            std::min(op.ring.free_space(), e.payload.size() - sent);
+        if (take != 0) op.ring.stage(e.payload.data() + sent, take);
         sent += take;
+        ring_tx_bytes_ += op.ring.publish();
         ding_peer(dest);
+        if (sent == e.payload.size() || !wait_for_space(dest, 1)) break;
       }
-      core::buffer_pool::local().release(std::move(e.payload));
     }
-
-    const std::size_t now_in_flight =
-        op.main.in_flight() + op.spill.in_flight();
-    if (now_in_flight > outq_peak_bytes_) outq_peak_bytes_ = now_in_flight;
+    const std::size_t in_flight = op.ring.in_flight();
+    if (in_flight > outq_peak_bytes_) outq_peak_bytes_ = in_flight;
     publish_outq_gauge();
-    return;
+  }
+  if (!e.payload.empty()) {
+    core::buffer_pool::local().release(std::move(e.payload));
   }
 }
 
 bool endpoint::pump_pair(int src, in_pair& p) {
   bool moved = false;
   for (;;) {
-    // Finish an in-progress spill first: per-pair frame order is main-ring
-    // order, so nothing behind the spill header may be delivered before it.
-    if (p.have_spill_hdr) {
-      const std::size_t want =
-          p.spill_hdr.payload_len - p.spill_payload.size();
-      const std::size_t take = std::min(want, p.spill.readable());
-      if (take != 0) {
-        p.spill.read_append(0, take, p.spill_payload);
-        p.spill.consume(take);
-        spill_rx_bytes_ += take;
-        moved = true;
-        wake_parked_producer(p.spill.ctrl());
-      }
-      if (p.spill_payload.size() < p.spill_hdr.payload_len) {
-        break;  // resume next pump
-      }
-      slot_->deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag,
-                              p.spill_hdr.ctx, std::move(p.spill_payload)});
-      p.spill_payload = {};
-      p.have_spill_hdr = false;
-      continue;
+    // One step: the header (if this frame's is not yet read) and whatever
+    // payload is readable, freed with one consume and one producer wake.
+    // Per-pair frame order is ring order, so a partial frame blocks the
+    // frames behind it until its last byte lands.
+    const std::size_t readable = p.ring.readable();
+    std::size_t used = 0;
+    if (!p.have_hdr) {
+      if (readable < sizeof(wire_header)) break;
+      p.ring.peek(0, &p.hdr, sizeof(p.hdr));
+      YGM_CHECK(p.hdr.kind == data_frame,
+                "corrupt frame kind in shm ring from rank " +
+                    std::to_string(src));
+      p.have_hdr = true;
+      used = sizeof(wire_header);
+      // Append straight to a pooled vector: the buffer that crosses into
+      // mail_slot (and later the application's recv) is the one the ring
+      // filled, and the ring copy is its only write.
+      if (p.hdr.payload_len > 0) p.payload = payload_buffer(p.hdr.payload_len);
     }
-    if (p.main.readable() < sizeof(wire_header)) break;
-    wire_header hdr;
-    p.main.peek(0, &hdr, sizeof(hdr));
-    if (hdr.kind == static_cast<std::uint32_t>(frame_kind::data)) {
-      // Whole-frame publication: the payload is readable the moment the
-      // header is. Append it straight to a pooled vector — the buffer that
-      // crosses into mail_slot (and later the application's recv) is the
-      // one the ring filled, and the ring copy is its only write.
-      std::vector<std::byte> payload;
-      if (hdr.payload_len > 0) {
-        payload = payload_buffer(hdr.payload_len);
-        p.main.read_append(sizeof(hdr), hdr.payload_len, payload);
-      }
-      p.main.consume(sizeof(hdr) + hdr.payload_len);
-      ring_rx_bytes_ += sizeof(hdr) + hdr.payload_len;
-      moved = true;
-      wake_parked_producer(p.main.ctrl());
-      slot_->deliver(envelope{hdr.src, hdr.tag, hdr.ctx, std::move(payload)});
-    } else if (hdr.kind == static_cast<std::uint32_t>(frame_kind::spill)) {
-      p.main.consume(sizeof(hdr));
-      ring_rx_bytes_ += sizeof(hdr);
-      moved = true;
-      wake_parked_producer(p.main.ctrl());
-      p.spill_hdr = hdr;
-      p.have_spill_hdr = true;
-      p.spill_payload = payload_buffer(hdr.payload_len);
-    } else {
-      YGM_CHECK(false, "corrupt frame kind in shm ring from rank " +
-                           std::to_string(src));
-    }
+    const std::size_t take = std::min<std::size_t>(
+        readable - used, p.hdr.payload_len - p.payload.size());
+    if (take != 0) p.ring.read_append(used, take, p.payload);
+    used += take;
+    if (used == 0) break;  // mid-frame, nothing new readable
+    p.ring.consume(used);
+    ring_rx_bytes_ += used;
+    moved = true;
+    wake_parked_producer(p.ring.ctrl());
+    if (p.payload.size() < p.hdr.payload_len) break;  // resume next pump
+    p.have_hdr = false;
+    slot_->deliver(
+        envelope{p.hdr.src, p.hdr.tag, p.hdr.ctx, std::move(p.payload)});
+    p.payload = {};
   }
-  if (!p.fin_seen && p.main.fin() && p.main.readable() == 0 &&
-      !p.have_spill_hdr) {
+  if (!p.fin_seen && !p.have_hdr && p.ring.fin() && p.ring.readable() == 0) {
     p.fin_seen = true;
   }
   return moved;
@@ -561,22 +484,14 @@ void endpoint::abort_world() {
       // Poison every mapped segment (peers notice on their next pump or
       // bounded park) and ring every doorbell so parked ranks wake now
       // rather than on timeout.
-      for (int r = 0; r < nranks_; ++r) {
-        auto* h = segments_[static_cast<std::size_t>(r)].hdr;
-        if (h == nullptr) continue;
-        h->aborted.store(1, std::memory_order_release);
-        h->recv_seq.fetch_add(1, std::memory_order_release);
-        futex_wake(&h->recv_seq, 1);
+      for (const auto& s : segments_) {
+        if (s.hdr != nullptr) poison(*s.hdr);
       }
       // Producers of OUR segment may be parked on its space doorbells.
-      for (int r = 0; r < nranks_; ++r) {
-        if (r == rank_) continue;
-        auto& p = in_[static_cast<std::size_t>(r)];
-        if (!p.main.valid()) continue;
-        p.main.ctrl().space_seq.fetch_add(1, std::memory_order_release);
-        futex_wake(&p.main.ctrl().space_seq, 1);
-        p.spill.ctrl().space_seq.fetch_add(1, std::memory_order_release);
-        futex_wake(&p.spill.ctrl().space_seq, 1);
+      for (auto& p : in_) {
+        if (!p.ring.valid()) continue;
+        p.ring.ctrl().space_seq.fetch_add(1, std::memory_order_release);
+        futex_wake(&p.ring.ctrl().space_seq, 1);
       }
     }
   }
@@ -584,11 +499,10 @@ void endpoint::abort_world() {
 }
 
 bool endpoint::all_peers_silent() const {
+  // fin_seen is set only once the ring is empty and no frame is partly
+  // read, and nothing is published after fin, so it stays silent.
   for (int r = 0; r < nranks_; ++r) {
-    if (r == rank_) continue;
-    const auto& p = in_[static_cast<std::size_t>(r)];
-    if (!p.fin_seen) return false;
-    if (p.main.readable() != 0 || p.have_spill_hdr) return false;
+    if (r != rank_ && !in_[static_cast<std::size_t>(r)].fin_seen) return false;
   }
   return true;
 }

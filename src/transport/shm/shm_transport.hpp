@@ -3,26 +3,26 @@
 // Topology: full mesh of bounded byte rings. Each rank owns ONE shm_open
 // segment named "/<token>.r<rank>" (token = basename of the rendezvous
 // directory) holding every ring INBOUND to it: a pair_block per producer
-// rank with a main ring (whole frames, header + payload published with one
-// release store) and a spill ring (payload bytes of frames too large to
-// inline). A rank therefore maps nranks segments — its own as the consumer,
-// every peer's as a producer — and rendezvous is pure filesystem: the
-// creator sizes and initializes its segment then release-stores a magic
-// word; openers retry shm_open/fstat until the segment exists at full size
-// and the magic is visible, under the same handshake deadline as the socket
+// rank with one ring of ring_bytes, an ordered byte stream of whole frames.
+// A rank therefore maps nranks segments — its own as the consumer, every
+// peer's as a producer — and rendezvous is pure filesystem: the creator
+// sizes and initializes its segment then release-stores a magic word;
+// openers retry shm_open/fstat until the segment exists at full size and
+// the magic is visible, under the same handshake deadline as the socket
 // backend.
 //
 // Wire format: the frame header {kind, payload_len, src, tag, ctx} is
-// byte-identical to the socket backend's. A payload at or under
-// inline_payload_max rides in the main ring behind its header, staged
-// together and published with a single release store — the consumer can
-// trust any visible header (sizes never tear) and the whole frame is
-// readable the moment the header is. Larger payloads put a spill-kind
-// header in the main ring and stream their bytes through the spill ring in
-// chunks; pooled packet buffers from the PR 5 hot path are the memcpy
-// source and destination on the two sides, so bytes cross the process
-// boundary exactly once, with no intermediate serialization or staging
-// copy.
+// byte-identical to the socket backend's, and every frame streams through
+// the pair's ring. The producer waits for room for the header, stages it
+// with as much payload as fits and publishes both with one release store,
+// then sends the rest in chunks as the consumer frees room. A header is
+// never split, so the consumer can trust any visible size, and a frame
+// that fits goes out in one publish; a frame larger than the ring still
+// passes. The consumer appends the payload to a pooled buffer as it
+// becomes readable and delivers the frame when its last byte lands.
+// Pooled packet buffers are the memcpy source and destination on the two
+// sides, so bytes cross the process boundary exactly once, with no
+// intermediate serialization or staging copy.
 //
 // Idle ranks park on futexes instead of spinning: a consumer with nothing
 // readable publishes a parked flag and waits (bounded) on its segment's
@@ -32,11 +32,12 @@
 // insurance) and every loop re-checks the abort flag, so a crashed peer
 // costs latency, never liveness.
 //
-// Backpressure: the ring's fixed capacity is the hard bound — a producer
-// that cannot fit a frame stalls (pumping its own inbound rings meanwhile,
-// so two mutually-flooding ranks drain each other instead of deadlocking),
-// and transport::outq_cap_bytes() is additionally honoured when it is
-// tighter than the ring, mirroring the socket backend's accept rule.
+// Backpressure: the ring's fixed capacity is the transport bound — a
+// producer that cannot fit its next bytes stalls (pumping its own inbound
+// rings meanwhile, so two mutually-flooding ranks drain each other instead
+// of deadlocking). transport::outq_cap_bytes() does not apply here: its
+// 4 MiB default exceeds all the ring bytes of a pair, and the mailbox
+// credit budget is the end-to-end bound (docs/BACKPRESSURE.md).
 //
 // The receive side is transport::endpoint's shared loop over this rank's
 // own mail_slot: pump() delivers completed frames into the slot, so all
@@ -47,10 +48,11 @@
 //
 // Failure: abort_world sets an aborted flag in every mapped segment and
 // bumps every doorbell; peers notice on their next pump or park and poison
-// their slots. A peer that dies without fin leaves its segment behind —
-// the launcher (transport/proc/launch.cpp) shm_unlinks every
-// "/<token>.r<i>" after reaping children, so abnormal exits cannot leak
-// /dev/shm space.
+// their slots. A rank killed without unwinding cannot do that, so the
+// launcher (transport/proc/launch.cpp) calls poison_world when a rank's
+// result pipe closes without a report, and shm_unlinks every
+// "/<token>.r<i>" after reaping children, so abnormal exits neither hang
+// their peers nor leak /dev/shm space.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +68,9 @@
 
 namespace ygm::transport::shm {
 
-/// Main-ring capacity per pair (power of two). Frames up to
-/// inline_payload_max + header must fit with room to spare.
-inline constexpr std::size_t main_ring_bytes = 256 * 1024;
-/// Spill-ring capacity per pair (power of two); payloads larger than the
-/// ring still pass — they stream through in chunks.
-inline constexpr std::size_t spill_ring_bytes = 256 * 1024;
-/// Largest payload carried inline in the main ring.
-inline constexpr std::size_t inline_payload_max = 16 * 1024;
+/// Ring capacity per pair (power of two); frames larger than the ring
+/// still pass — they stream through in chunks.
+inline constexpr std::size_t ring_bytes = 256 * 1024;
 
 /// Head of every segment. magic is release-stored LAST by the creator, so
 /// an opener that acquire-loads it sees a fully initialized layout.
@@ -88,13 +85,11 @@ struct alignas(cache_line) seg_header {
 };
 static_assert(sizeof(seg_header) == cache_line);
 
-/// One producer rank's lane into a segment: control + data for the main
-/// and spill rings. Fixed-size so the segment layout is plain indexing.
+/// One producer rank's lane into a segment: its ring's control block and
+/// data. Fixed-size so the segment layout is plain indexing.
 struct alignas(cache_line) pair_block {
-  ring_ctrl main_ctrl;
-  ring_ctrl spill_ctrl;
-  std::byte main_data[main_ring_bytes];
-  std::byte spill_data[spill_ring_bytes];
+  ring_ctrl ctrl;
+  std::byte data[ring_bytes];
 };
 
 inline constexpr std::uint32_t seg_magic = 0x79676d73;  // "ygms"
@@ -110,6 +105,12 @@ constexpr std::size_t segment_bytes(int nranks) {
 /// where token is the basename of the rendezvous directory. Exposed so the
 /// launcher's orphan sweep and tests can reconstruct names.
 std::string segment_name(const std::string& dir, int rank);
+
+/// Poison the world rendezvoused under `dir` from outside it: set the
+/// abort flag in every rank segment that exists and ring its recv
+/// doorbell, so ranks parked on a dead peer wake and fail. The launcher
+/// calls this when a rank's result pipe closes without a report.
+void poison_world(const std::string& dir, int nranks);
 
 class endpoint final : public transport::endpoint {
  public:
@@ -128,10 +129,8 @@ class endpoint final : public transport::endpoint {
   static constexpr double handshake_timeout_s = 30.0;
 
  private:
-  enum class frame_kind : std::uint32_t {
-    data = 2,   ///< header + payload inline in the main ring
-    spill = 5,  ///< header in the main ring; payload streams via spill ring
-  };
+  /// The one frame kind: a header followed by its payload.
+  static constexpr std::uint32_t data_frame = 2;
 
   /// One mapped segment (own or a peer's).
   struct segment {
@@ -140,22 +139,20 @@ class endpoint final : public transport::endpoint {
     seg_header* hdr = nullptr;
   };
 
-  /// Producer-side view of the pair of rings toward one peer.
+  /// Producer-side view of the ring toward one peer.
   struct out_pair {
-    ring_view main;
-    ring_view spill;
+    ring_view ring;
     bool fin_sent = false;
   };
 
-  /// Consumer-side view of one inbound pair, plus spill reassembly state:
-  /// the pump never blocks mid-frame, so a partially-streamed spill payload
-  /// parks here between passes (its size is the bytes received so far).
+  /// Consumer-side view of one inbound ring, plus reassembly state: the
+  /// pump never blocks mid-frame, so a partially-streamed payload parks
+  /// here between passes (its size is the bytes received so far).
   struct in_pair {
-    ring_view main;
-    ring_view spill;
-    bool have_spill_hdr = false;
-    wire_header spill_hdr{};
-    std::vector<std::byte> spill_payload;
+    ring_view ring;
+    bool have_hdr = false;
+    wire_header hdr{};
+    std::vector<std::byte> payload;
     bool fin_seen = false;
   };
 
@@ -177,9 +174,9 @@ class endpoint final : public transport::endpoint {
   /// Ring the recv doorbell of `dest`'s segment if its owner is parked.
   void ding_peer(int dest);
 
-  /// Wait (bounded park) for free space on a ring toward `dest`; pumps
-  /// own inbound each pass and honours abort. Returns false on abort.
-  bool wait_for_space(int dest, ring_view& ring, std::size_t need);
+  /// Wait (bounded park) for `need` free bytes on the ring toward `dest`;
+  /// pumps own inbound each pass and honours abort. Returns false on abort.
+  bool wait_for_space(int dest, std::size_t need);
 
   void handshake(const std::string& dir, const chaos_config* chaos);
   void mark_aborted_locked();
@@ -205,10 +202,7 @@ class endpoint final : public transport::endpoint {
   // ring-level counters, published with the endpoint stats at teardown
   std::uint64_t ring_tx_bytes_ = 0;
   std::uint64_t ring_rx_bytes_ = 0;
-  std::uint64_t spill_tx_bytes_ = 0;
-  std::uint64_t spill_rx_bytes_ = 0;
-  std::uint64_t ring_full_stalls_ = 0;  ///< posts that waited for ring space
-  std::uint64_t outq_stalls_ = 0;       ///< posts that hit outq_cap_bytes
+  std::uint64_t ring_full_stalls_ = 0;  ///< waits for ring space
   std::uint64_t outq_peak_bytes_ = 0;   ///< high-water in-flight ring bytes
   std::uint64_t futex_parks_ = 0;       ///< times this rank actually parked
 };

@@ -3,8 +3,9 @@
 // full-ring backpressure, the torn-size publication guard — exercised with
 // real producer/consumer threads so TSan sees the release/acquire
 // protocol), the rendezvous giving up on a poisoned world, and the
-// launcher's orphaned-segment sweep (a rank that dies before its endpoint
-// destructor must not leak /dev/shm space).
+// launcher's handling of ranks that die without unwinding: it poisons
+// their shm peers (a SIGKILLed rank must fail the launch fast, on socket
+// too) and sweeps their orphaned segments (no /dev/shm space may leak).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +26,7 @@
 
 #include "common/assert.hpp"
 #include "core/launch.hpp"
+#include "core/mailbox.hpp"
 #include "transport/shm/shm_transport.hpp"
 #include "transport/shm/spsc_ring.hpp"
 
@@ -243,6 +246,51 @@ TEST(ShmHandshake, PoisonedSegmentEndsRendezvousWithAbortEcho) {
 
 // ---------------------------------------------------- orphaned segments
 
+void expect_no_segments(const std::string& dir, int nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    const std::string name = shm::segment_name(dir, r);
+    errno = 0;
+    const int fd = ::shm_open(name.c_str(), O_RDONLY, 0);
+    if (fd >= 0) ::close(fd);
+    EXPECT_LT(fd, 0) << "orphaned segment survived the sweep: " << name;
+    EXPECT_EQ(errno, ENOENT) << name;
+  }
+}
+
+/// Rank 1 of a 2x2 NodeRemote world SIGKILLs itself mid-send, so it never
+/// unwinds, reports or poisons anyone; its peers soon block on it. The
+/// launch must still fail within a deadline, naming the dead rank.
+void expect_killed_rank_fails_fast(tp::backend_kind backend,
+                                   const std::string& dir) {
+  ygm::run_options o;
+  o.nranks = 4;
+  o.backend = backend;
+  o.chaos = sim::chaos_config{};
+  o.socket_dir = dir;
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    ygm::launch(o, [](sim::comm& c) {
+      ygm::core::comm_world world(c, ygm::routing::topology(2, 2),
+                                  ygm::routing::scheme_kind::node_remote);
+      ygm::core::mailbox<std::uint64_t> mb(world, [](std::uint64_t) {}, 256);
+      for (std::uint64_t i = 0; i < 4000; ++i) {
+        if (c.rank() == 1 && i == 1000) ::raise(SIGKILL);
+        mb.send(static_cast<int>(i % 4), i);
+      }
+      mb.wait_empty();
+    });
+  } catch (const ygm::error& e) {
+    error = e.what();
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(error.find(std::string(tp::to_string(backend)) +
+                       " rank 1 terminated without reporting (exit code 137)"),
+            std::string::npos)
+      << error;
+  EXPECT_LT(waited, std::chrono::seconds(10));
+}
+
 TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   // Children that die before their endpoint destructor never shm_unlink
   // their own segment; the launcher's post-reap sweep must. Use an
@@ -268,16 +316,18 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   } catch (const ygm::error&) {
     // Expected: ranks terminated without reporting.
   }
+  expect_no_segments(dir, 2);
 
-  for (int r = 0; r < 2; ++r) {
-    const std::string name = shm::segment_name(dir, r);
-    errno = 0;
-    const int fd = ::shm_open(name.c_str(), O_RDONLY, 0);
-    if (fd >= 0) ::close(fd);
-    EXPECT_LT(fd, 0) << "orphaned segment survived the sweep: " << name;
-    EXPECT_EQ(errno, ENOENT) << name;
-  }
+  // One rank killed while its peers run on: without the launcher's poison
+  // they would park on it forever.
+  expect_killed_rank_fails_fast(tp::backend_kind::shm, dir);
+  expect_no_segments(dir, 4);
   ::rmdir(dir.c_str());
+}
+
+TEST(SocketCleanup, KilledRankFailsTheLaunchFast) {
+  // Socket peers see the dead rank's sockets close; the same deadline holds.
+  expect_killed_rank_fails_fast(tp::backend_kind::socket, "");
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 // the multi-process socket backend (point-to-point, collectives,
 // communicator algebra, abort propagation), the delivery-invariant ledger
 // and a reduced chaos sweep on BOTH backends, cross-backend parity of a
-// seeded workload, 1 KiB fixed-width records on every backend (inline and
-// spilled on shm), and per-backend telemetry publication.
+// seeded workload, 1 KiB fixed-width records on every backend (in packets
+// below and above 16 KiB), frames around every boundary of the shm ring,
+// and per-backend telemetry publication.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/shm/shm_transport.hpp"
+#include "transport/wire.hpp"
 
 namespace {
 
@@ -256,11 +260,14 @@ wide_rec make_wide(int src, std::uint32_t seq) {
 }
 
 /// (backend, mailbox capacity). With three destinations per rank a packet
-/// carries about a third of the capacity: 96 KiB spills on shm (packets
-/// over tp::shm::inline_payload_max), 4 KiB stays inline.
+/// carries about a third of the capacity: 96 KiB makes packets of tens of
+/// records (over wide_packet_split), 4 KiB packets of a few (well under
+/// it). The "_spill" / "_inline" case names are kept from when shm carried
+/// packets over 16 KiB through a second ring.
 using wide_case = std::tuple<tp::backend_kind, std::size_t>;
 constexpr std::size_t wide_spill_capacity = 96 * 1024;
 constexpr std::size_t wide_inline_capacity = 4 * 1024;
+constexpr std::size_t wide_packet_split = 16 * 1024;
 
 class WideRecords : public ::testing::TestWithParam<wide_case> {};
 
@@ -303,9 +310,9 @@ TEST_P(WideRecords, EveryByteArrivesExactlyOnce) {
     }
     const double avg = mb.stats().avg_local_packet_bytes();
     if (capacity == wide_spill_capacity) {
-      EXPECT_GT(avg, static_cast<double>(tp::shm::inline_payload_max));
+      EXPECT_GT(avg, static_cast<double>(wide_packet_split));
     } else {
-      EXPECT_LT(avg, static_cast<double>(tp::shm::inline_payload_max));
+      EXPECT_LT(avg, static_cast<double>(wide_packet_split));
     }
   });
 }
@@ -378,9 +385,10 @@ TEST(Shm, CollectivesMatchInprocSemantics) {
 }
 
 TEST(Shm, LargePayloadsSpillThroughSharedPool) {
-  // Payloads far beyond the inline threshold (16 KiB) and beyond the spill
-  // ring itself (256 KiB) must stream through intact, both directions at
-  // once so the chunked spill protocol is exercised under crossing traffic.
+  // Payloads far beyond the ring (256 KiB) must stream through intact,
+  // both directions at once so the chunked stream is exercised under
+  // crossing traffic: each producer waits for room while pumping its own
+  // inbound ring.
   ygm::launch(on_backend(tp::backend_kind::shm, 2), [](sim::comm& c) {
     const int peer = c.rank() ^ 1;
     std::vector<std::uint8_t> big(3 * 256 * 1024 + 12345);
@@ -392,9 +400,53 @@ TEST(Shm, LargePayloadsSpillThroughSharedPool) {
     ASSERT_EQ(got.size(), big.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], static_cast<std::uint8_t>((i * 131 + peer) & 0xff))
-          << "corrupt spill byte at offset " << i;
+          << "corrupt streamed byte at offset " << i;
     }
     c.barrier();
+  });
+}
+
+TEST(Shm, FramesOfEverySizeStreamIntact) {
+  // Raw frames around every boundary of the one ring. The receiver starts
+  // late, so the first frame leaves room for one header plus 10 bytes and
+  // the 100-byte frame behind it is split across publishes; the others
+  // straddle the old 16 KiB inline limit, exactly fill the ring, overrun
+  // it by one byte, and span it three times over. Each rank sends in turn.
+  constexpr std::size_t ring = tp::shm::ring_bytes;
+  constexpr std::size_t hdr = sizeof(tp::wire_header);
+  static constexpr std::array<std::size_t, 11> sizes = {
+      ring - 2 * hdr - 10, 100,                                 //
+      0,                   1,                                   //
+      16 * 1024 - 1,       16 * 1024,      16 * 1024 + 1,       //
+      ring - hdr,          ring - hdr + 1, ring,                //
+      3 * ring + 12345};
+  const auto byte_at = [](int src, std::size_t frame, std::size_t i) {
+    return static_cast<std::byte>(static_cast<std::uint8_t>(
+        static_cast<std::size_t>(src) * 89 + frame * 31 + i * 7 + 3));
+  };
+  ygm::launch(on_backend(tp::backend_kind::shm, 2), [&](sim::comm& c) {
+    for (int sender = 0; sender < 2; ++sender) {
+      if (c.rank() == sender) {
+        for (std::size_t f = 0; f < sizes.size(); ++f) {
+          std::vector<std::byte> frame(sizes[f]);
+          for (std::size_t i = 0; i < frame.size(); ++i) {
+            frame[i] = byte_at(sender, f, i);
+          }
+          c.send_bytes(sender ^ 1, 6, std::move(frame));
+        }
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        for (std::size_t f = 0; f < sizes.size(); ++f) {
+          const auto got = c.recv_bytes(sender, 6);
+          ASSERT_EQ(got.size(), sizes[f]) << "frame " << f;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], byte_at(sender, f, i))
+                << "frame " << f << " byte " << i;
+          }
+        }
+      }
+      c.barrier();
+    }
   });
 }
 
