@@ -40,7 +40,11 @@ mode mode_from_env() {
 // ---------------------------------------------------------------- station
 
 station::station(engine* eng, transport::endpoint* ep)
-    : engine_(eng), ep_(ep) {}
+    : engine_(eng), ep_(ep) {
+  // The engine pumps and drains through this endpoint from its own thread,
+  // so nothing may be lent in place on it (docs/TRANSPORT.md).
+  if (eng != nullptr && ep != nullptr) ep->disable_lending();
+}
 
 void station::add_pump(std::shared_ptr<pump> p) {
   std::lock_guard lock(pumps_mtx_);

@@ -54,6 +54,15 @@ std::vector<std::byte> comm::coll_recv_bytes(int src, int tag) const {
   return std::move(e.payload);
 }
 
+std::optional<transport::packet> comm::take(int tag) const {
+  auto p = ep_->take(tag, ctx_p2p_);
+  if (p) {
+    telemetry::add(telemetry::fast_counter::mpi_recvs);
+    telemetry::add(telemetry::fast_counter::mpi_recv_bytes, p->bytes().size());
+  }
+  return p;
+}
+
 std::optional<status> comm::iprobe(int src, int tag) const {
   return ep_->iprobe(src, tag, ctx_p2p_);
 }

@@ -85,6 +85,12 @@ class comm {
   /// Nonblocking probe, like MPI_Iprobe.
   std::optional<status> iprobe(int src, int tag) const;
 
+  /// Nonblocking receive of the first visible message on `tag` from any
+  /// source: the iprobe and its receive in one step
+  /// (transport::endpoint::take). The packet owns its payload or reads a
+  /// frame the transport lends in place; it counts as one receive.
+  std::optional<transport::packet> take(int tag) const;
+
   /// Blocking probe, like MPI_Probe.
   status probe(int src, int tag) const;
 

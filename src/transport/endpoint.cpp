@@ -1,12 +1,14 @@
 #include "transport/endpoint.hpp"
 
 #include <time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <string>
 
 #include "common/assert.hpp"
+#include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
 #include "telemetry/telemetry.hpp"
 
 namespace ygm::transport {
@@ -54,6 +56,10 @@ std::size_t outq_cap_from_env() {
 // Process-wide so forked socket children inherit the launch override.
 std::atomic<std::size_t> g_outq_cap{outq_cap_from_env()};
 
+// The pid of the process that forked this one's rank (0: none). Forked
+// ranks inherit it.
+pid_t g_launcher = 0;
+
 }  // namespace
 
 std::size_t outq_cap_bytes() noexcept {
@@ -68,6 +74,22 @@ double monotonic_seconds() noexcept {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+void note_launcher() noexcept { g_launcher = ::getpid(); }
+
+void check_launcher_alive() {
+  if (g_launcher == 0 || g_launcher == ::getpid()) return;
+  YGM_CHECK(::getppid() == g_launcher,
+            "launcher (pid " + std::to_string(g_launcher) + ") died");
+}
+
+packet::~packet() {
+  if (lent_ != nullptr) {
+    lent_->give_back();
+  } else if (owned_.capacity() != 0) {
+    core::buffer_pool::local().release(std::move(owned_));
+  }
 }
 
 void endpoint::post(int dest, envelope&& e) {
@@ -112,6 +134,20 @@ status endpoint::probe(int src, int tag, std::uint64_t ctx) {
     if (auto st = slot_->try_probe(src, tag, ctx, &miss)) return *st;
     wait(miss);
   }
+}
+
+std::optional<packet> endpoint::take(int tag, std::uint64_t ctx) {
+  lent_frame* offer = lend(tag, ctx);
+  auto got = slot_->take(tag, ctx, offer != nullptr);
+  if (got.env) return packet(got.env->src, std::move(got.env->payload));
+  if (!got.offer) return std::nullopt;
+  set_on_loan(*offer, true);
+  return packet(*offer);
+}
+
+lent_frame* endpoint::lend(int, std::uint64_t) {
+  pump(/*from_engine=*/false);
+  return nullptr;
 }
 
 std::size_t endpoint::pending() {

@@ -27,6 +27,12 @@
 //                   noticed in bounded time.
 //   * abort_world() how a failing rank poisons the rest of the world.
 //
+// One optional hook serves the mailbox's drain: take() matches any source
+// on one (tag, ctx) and removes the match in one step, and lend() lets a
+// backend hand that match over where it lies instead of copying it into
+// the slot (shm lends ring frames; docs/TRANSPORT.md, "Receive-side
+// contract").
+//
 // Per-(source, context) delivery order is FIFO (MPI non-overtaking);
 // cross-source order is unspecified. Matching and chaos semantics are
 // mail_slot's, so a chaos seed reproduces the same fault pattern on every
@@ -42,10 +48,14 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "transport/envelope.hpp"
 #include "transport/mail_slot.hpp"
@@ -97,6 +107,74 @@ struct endpoint_stats {
 /// handshake and teardown deadlines.
 double monotonic_seconds() noexcept;
 
+/// Record the calling process as the launcher of the ranks it is about to
+/// fork (proc::launch calls this before its first fork; children inherit
+/// it).
+void note_launcher() noexcept;
+
+/// In a forked rank, throw ygm::error("launcher (pid N) died") once its
+/// launcher is gone (the rank was reparented), so the rank unwinds, poisons
+/// its peers and frees its resources instead of outliving the job. A no-op
+/// in the launcher itself and in processes no launcher forked. The socket
+/// and shm backends call it from every bounded wait.
+void check_launcher_alive();
+
+/// A frame a backend hands to take() where it lies, read-only. The backend
+/// may move it: before any blocking wait it copies the bytes out and frees
+/// its receive buffer, so a holder re-reads bytes() after anything that
+/// can block (docs/TRANSPORT.md, "Receive-side contract").
+class lent_frame {
+ public:
+  int source() const noexcept { return src_; }
+  std::span<const std::byte> bytes() const noexcept { return {data_, size_}; }
+
+  /// The holder is done with the frame: the backend frees its bytes.
+  virtual void give_back() noexcept = 0;
+
+ protected:
+  lent_frame() = default;
+  ~lent_frame() = default;
+
+  int src_ = -1;
+  const std::byte* data_ = nullptr;
+  std::size_t size_ = 0;
+  /// Handed out by take() and not yet given back.
+  bool on_loan_ = false;
+
+  friend class endpoint;
+};
+
+/// One message take() hands out: its source and payload, owned (a pooled
+/// vector) or a frame the backend lends in place. Destroying the packet
+/// recycles the vector or gives the frame back.
+class packet {
+ public:
+  packet(int src, std::vector<std::byte>&& payload) noexcept
+      : src_(src), owned_(std::move(payload)) {}
+  explicit packet(lent_frame& lent) noexcept
+      : src_(lent.source()), lent_(&lent) {}
+  packet(packet&& o) noexcept
+      : src_(o.src_),
+        owned_(std::move(o.owned_)),
+        lent_(std::exchange(o.lent_, nullptr)) {}
+  packet& operator=(packet&&) = delete;
+  ~packet();
+
+  int source() const noexcept { return src_; }
+  /// The payload. Re-read it after anything that can block: a lent frame
+  /// is copied out of the backend's buffer before any blocking wait.
+  std::span<const std::byte> bytes() const noexcept {
+    return lent_ != nullptr ? lent_->bytes()
+                            : std::span<const std::byte>(owned_);
+  }
+  bool lent() const noexcept { return lent_ != nullptr; }
+
+ private:
+  int src_;
+  std::vector<std::byte> owned_;
+  lent_frame* lent_ = nullptr;
+};
+
 class endpoint {
  public:
   virtual ~endpoint() = default;
@@ -125,8 +203,20 @@ class endpoint {
   std::optional<status> iprobe(int src, int tag, std::uint64_t ctx);
   /// Blocking probe (miss-immune, like recv).
   status probe(int src, int tag, std::uint64_t ctx);
-  /// Queued unreceived messages on this rank, across all contexts.
+  /// Queued unreceived messages on this rank, across all contexts. Frames
+  /// a backend keeps back for take() (see lend()) are not counted.
   std::size_t pending();
+
+  /// Nonblocking receive of the first visible message on (tag, ctx) from
+  /// any source: the iprobe and receive of the match in one step
+  /// (mail_slot::take, same chaos draws). The packet is owned, or lent in
+  /// place where the backend can.
+  std::optional<packet> take(int tag, std::uint64_t ctx);
+
+  /// A progress engine drives this endpoint from its own thread too: lend
+  /// nothing from now on, since a lent frame's bytes must never move under
+  /// a reader on another thread. Called before any traffic; sticky.
+  void disable_lending() noexcept { lending_ = false; }
 
   /// Donated progress: called from the progress engine thread while ranks
   /// compute. One pump() that never waits for the rank's own I/O lock;
@@ -151,6 +241,13 @@ class endpoint {
     if (from_engine) return std::unique_lock(io, std::try_to_lock);
     return std::unique_lock(io);
   }
+
+  /// Whether take() may receive lent frames (no progress engine attached).
+  bool lending() const noexcept { return lending_; }
+
+  /// Mark a frame handed out by take() as on loan / given back.
+  static void set_on_loan(lent_frame& f, bool on) noexcept { f.on_loan_ = on; }
+  static bool on_loan(const lent_frame& f) noexcept { return f.on_loan_; }
 
   /// Fold stats_ + the slot's probe counters into this thread's telemetry
   /// lane under "transport.<backend>." — backends call this from their
@@ -184,8 +281,17 @@ class endpoint {
   /// arrive.
   virtual void wait(const match_miss& miss) = 0;
 
+  /// take()'s pump: move arrived bytes into the slot without blocking, as
+  /// pump(false) does — except that a backend that can lend keeps back a
+  /// frame matching (tag, ctx), admits it (mail_slot::admit) and returns it
+  /// when it is lendable. The frame stays offered across calls until take()
+  /// hands it out or a blocking wait copies it into the slot. Default:
+  /// pump, lend nothing.
+  virtual lent_frame* lend(int tag, std::uint64_t ctx);
+
   const backend_kind kind_;
   endpoint_stats stats_;
+  bool lending_ = true;
 };
 
 }  // namespace ygm::transport

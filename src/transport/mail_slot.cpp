@@ -1,5 +1,6 @@
 #include "transport/mail_slot.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -54,28 +55,61 @@ void mail_slot::maybe_stall() {
   }
 }
 
+std::uint64_t mail_slot::draw_visible_at_locked(int src, std::uint64_t ctx) {
+  if (!chaos_.delays_active()) return 0;
+  auto& stream = streams_[stream_key(src, ctx)];
+  const std::uint64_t idx = stream.arrivals++;
+  const std::uint64_t h = chaos_mix(chaos_.seed, 0xDE1A7u, rank_, src, ctx, idx);
+  std::uint64_t visible_at = 0;
+  if (chaos_unit(h) < chaos_.delay_prob) {
+    visible_at = clock_ + 1 + splitmix64(h) % chaos_.max_delay_ticks;
+  }
+  // Non-overtaking: a message may not become visible before an earlier
+  // message of the same (source, context) stream.
+  visible_at = std::max(visible_at, stream.last_visible_at);
+  stream.last_visible_at = visible_at;
+  return visible_at;
+}
+
+void mail_slot::enqueue_locked(envelope&& e, std::uint64_t visible_at) {
+  payload_bytes_.fetch_add(e.payload.size(), std::memory_order_relaxed);
+  q_.push_back(queued{std::move(e), visible_at});
+  ++deliveries_;
+}
+
 void mail_slot::deliver(envelope&& e) {
   maybe_stall();
   {
     std::lock_guard lock(mtx_);
-    std::uint64_t visible_at = 0;
-    if (chaos_.delays_active()) {
-      auto& stream = streams_[stream_key(e.src, e.ctx)];
-      const std::uint64_t idx = stream.arrivals++;
-      const std::uint64_t h =
-          chaos_mix(chaos_.seed, 0xDE1A7u, rank_, e.src, e.ctx, idx);
-      if (chaos_unit(h) < chaos_.delay_prob) {
-        visible_at =
-            clock_ + 1 + splitmix64(h) % chaos_.max_delay_ticks;
-      }
-      // Non-overtaking: a message may not become visible before an earlier
-      // message of the same (source, context) stream.
-      visible_at = std::max(visible_at, stream.last_visible_at);
-      stream.last_visible_at = visible_at;
+    const std::uint64_t visible_at = draw_visible_at_locked(e.src, e.ctx);
+    enqueue_locked(std::move(e), visible_at);
+  }
+  cv_.notify_all();
+}
+
+std::optional<mail_slot::admission> mail_slot::admit(int src, int tag,
+                                                     std::uint64_t ctx) {
+  {
+    std::lock_guard lock(mtx_);
+    if (std::any_of(q_.begin(), q_.end(), [&](const queued& q) {
+          return matches(q.env, src, tag, ctx);
+        })) {
+      return std::nullopt;
     }
-    payload_bytes_.fetch_add(e.payload.size(), std::memory_order_relaxed);
-    q_.push_back(queued{std::move(e), visible_at});
-    ++deliveries_;
+  }
+  maybe_stall();  // the arrival's stall, as deliver() draws it
+  std::lock_guard lock(mtx_);
+  admission a;
+  a.visible_at = draw_visible_at_locked(src, ctx);
+  // The next match ticks the clock first, so clock_ + 1 is "now" to it.
+  a.lendable = a.visible_at <= clock_ + 1;
+  return a;
+}
+
+void mail_slot::deliver(envelope&& e, std::uint64_t visible_at) {
+  {
+    std::lock_guard lock(mtx_);
+    enqueue_locked(std::move(e), visible_at);
   }
   cv_.notify_all();
 }
@@ -117,12 +151,7 @@ std::optional<envelope> mail_slot::try_recv_match(int src, int tag,
   return e;
 }
 
-std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
-  std::lock_guard lock(mtx_);
-  const std::size_t i = match_locked(src, tag, ctx, nullptr);
-  ++iprobe_calls_;
-  if (i == npos) return std::nullopt;
+bool mail_slot::draw_probe_miss_locked() {
   if (chaos_.probe_misses_active() &&
       misses_ < chaos_.max_consecutive_misses) {
     // Draw on a counter of *eligible* probes (matchable message present),
@@ -136,12 +165,45 @@ std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
       // matchable. The consecutive-miss cap keeps repeated probing live.
       ++misses_;
       ++miss_total_;
-      return std::nullopt;
+      return true;
     }
   }
   misses_ = 0;
+  return false;
+}
+
+std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
+  maybe_stall();
+  std::lock_guard lock(mtx_);
+  const std::size_t i = match_locked(src, tag, ctx, nullptr);
+  ++iprobe_calls_;
+  if (i == npos || draw_probe_miss_locked()) return std::nullopt;
   const envelope& e = q_[i].env;
   return status{e.src, e.tag, e.payload.size()};
+}
+
+mail_slot::taken mail_slot::take(int tag, std::uint64_t ctx, bool have_offer) {
+  maybe_stall();  // the probe's stall
+  taken out;
+  {
+    std::lock_guard lock(mtx_);
+    const std::size_t i = match_locked(any_source, tag, ctx, nullptr);
+    ++iprobe_calls_;
+    if ((i == npos && !have_offer) || draw_probe_miss_locked()) return out;
+    // The receive's match: its tick, and the same message — the first
+    // visible one of its source, which the probe found.
+    ++clock_;
+    if (i != npos) {
+      out.env = std::move(q_[i].env);
+      q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(i));
+      payload_bytes_.fetch_sub(out.env->payload.size(),
+                               std::memory_order_relaxed);
+    } else {
+      out.offer = true;
+    }
+  }
+  maybe_stall();  // the receive's stall
+  return out;
 }
 
 std::optional<status> mail_slot::try_probe(int src, int tag, std::uint64_t ctx,

@@ -55,6 +55,40 @@ class mail_slot {
   /// pump).
   void deliver(envelope&& e);
 
+  /// A backend that can hand a frame to take() where it lies admits it
+  /// here first: the frame takes its chaos stall and delay draws exactly
+  /// as deliver() would give them, in stream order. `lendable` says take()
+  /// may hand it out in place now: the draw makes it visible at the next
+  /// match. Otherwise the backend copies the frame in with
+  /// deliver(e, visible_at). While a queued message of the same (source,
+  /// tag, context) would match ahead of the frame, admit() draws nothing
+  /// and returns nullopt: the frame waits where it lies until take() has
+  /// served that message.
+  struct admission {
+    std::uint64_t visible_at = 0;
+    bool lendable = false;
+  };
+  std::optional<admission> admit(int src, int tag, std::uint64_t ctx);
+
+  /// Enqueue an admitted frame under the visibility its admission drew
+  /// (no further draws).
+  void deliver(envelope&& e, std::uint64_t visible_at);
+
+  /// What take() matched: a queued message, or the frame the caller
+  /// offered (admitted, lendable), or neither.
+  struct taken {
+    std::optional<envelope> env;
+    bool offer = false;
+  };
+
+  /// Match any source on (tag, ctx) and remove in one step: exactly the
+  /// nonblocking iprobe then receive of the match, as one call. It stalls,
+  /// ticks the clock and draws iprobe misses as that pair does, so a chaos
+  /// seed keeps its fault pattern. `have_offer` says the caller holds an
+  /// admitted, lendable frame matching (tag, ctx); a queued match goes
+  /// first, and the offer is taken only when none is visible.
+  taken take(int tag, std::uint64_t ctx, bool have_offer);
+
   /// Nonblocking matched receive: removes and returns the first visible
   /// match. Throws ygm::error if the world has been aborted. A blocking
   /// caller passes `miss`, which a failed match fills in for its wait.
@@ -138,6 +172,16 @@ class mail_slot {
   /// non-null `miss` is filled in for the caller's wait.
   std::size_t match_locked(int src, int tag, std::uint64_t ctx,
                            match_miss* miss);
+
+  /// The chaos visibility deadline of the next message of (src, ctx), in
+  /// stream order; 0 (visible at once) without delays. Under mtx_.
+  std::uint64_t draw_visible_at_locked(int src, std::uint64_t ctx);
+
+  void enqueue_locked(envelope&& e, std::uint64_t visible_at);
+
+  /// One eligible iprobe's false-negative draw, capped at
+  /// max_consecutive_misses in a row. Under mtx_.
+  bool draw_probe_miss_locked();
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 

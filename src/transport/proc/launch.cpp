@@ -200,6 +200,9 @@ std::vector<std::vector<std::byte>> launch(
   // replayed once per rank.
   std::fflush(nullptr);
 
+  // Ranks check this pid in every bounded wait: a launcher killed before
+  // it reaps them must not leave them running, or their segments behind.
+  note_launcher();
   std::vector<pid_t> pids(static_cast<std::size_t>(nranks), -1);
   for (int r = 0; r < nranks; ++r) {
     const pid_t pid = ::fork();

@@ -1,5 +1,7 @@
 #include "transport/shm/spsc_ring.hpp"
 
+#include <sys/mman.h>
+
 #if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
@@ -12,6 +14,28 @@
 #endif
 
 namespace ygm::transport::shm {
+
+std::byte* map_mirrored(int fd, std::size_t offset,
+                        std::size_t bytes) noexcept {
+  // Reserve both halves first so nothing else can land in the second one,
+  // then map the file pages over the reservation twice.
+  void* va = ::mmap(nullptr, 2 * bytes, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (va == MAP_FAILED) return nullptr;
+  auto* base = static_cast<std::byte*>(va);
+  for (std::size_t half = 0; half < 2; ++half) {
+    if (::mmap(base + half * bytes, bytes, PROT_READ, MAP_SHARED | MAP_FIXED,
+               fd, static_cast<off_t>(offset)) == MAP_FAILED) {
+      ::munmap(va, 2 * bytes);
+      return nullptr;
+    }
+  }
+  return base;
+}
+
+void unmap_mirrored(std::byte* p, std::size_t bytes) noexcept {
+  if (p != nullptr) ::munmap(p, 2 * bytes);
+}
 
 #if defined(__linux__)
 

@@ -227,6 +227,7 @@ void endpoint::send(int dest, envelope&& e) {
   // intervals so a concurrent progress-engine pass is never starved while
   // we wait out a full peer queue.
   for (;;) {
+    if (stalled) check_launcher_alive();
     std::unique_lock lock(io_mtx_);
     auto& p = peers_[static_cast<std::size_t>(dest)];
     YGM_CHECK(p.fd >= 0 && !p.fin_sent, "post after socket teardown");
@@ -461,6 +462,7 @@ bool endpoint::pump(bool from_engine) {
 }
 
 void endpoint::wait(const match_miss& miss) {
+  check_launcher_alive();
   std::lock_guard lock(io_mtx_);
   YGM_CHECK(miss.delayed || !all_peers_silent(),
             std::string("socket ") + miss.op +
