@@ -159,7 +159,9 @@ class packet_reader {
 
   bool done() const noexcept { return p_ == end_; }
 
-  packet_record next() {
+  // Always inlined: the mailbox's record loop runs it once per record, and
+  // GCC otherwise keeps it out of line there.
+  [[gnu::always_inline]] packet_record next() {
     const std::byte* const start = p_;
     const std::uint64_t header = ser::varint_decode(p_, end_);
     const std::uint64_t len = ser::varint_decode(p_, end_);

@@ -27,14 +27,10 @@ inline std::size_t varint_encode(std::uint64_t v, std::vector<std::byte>& out) {
   return n;
 }
 
-/// Decode an unsigned LEB128 value from [p, end). Advances p past the
-/// encoding. Throws ygm::error on truncated or oversized input.
-inline std::uint64_t varint_decode(const std::byte*& p, const std::byte* end) {
-  // One-byte values (every record header below rank 64, every length below
-  // 128) skip the loop.
-  if (p != end && (static_cast<std::uint8_t>(*p) & 0x80u) == 0) [[likely]] {
-    return static_cast<std::uint8_t>(*p++);
-  }
+/// varint_decode's loop, for values of three or more bytes and for
+/// truncated or oversized input.
+[[gnu::noinline]] inline std::uint64_t varint_decode_long(
+    const std::byte*& p, const std::byte* end) {
   std::uint64_t v = 0;
   int shift = 0;
   while (true) {
@@ -46,6 +42,29 @@ inline std::uint64_t varint_decode(const std::byte*& p, const std::byte* end) {
     if ((b & 0x80u) == 0) return v;
     shift += 7;
   }
+}
+
+/// Decode an unsigned LEB128 value from [p, end). Advances p past the
+/// encoding. Throws ygm::error on truncated or oversized input.
+[[gnu::always_inline]] inline std::uint64_t varint_decode(
+    const std::byte*& p, const std::byte* end) {
+  // One- and two-byte values (every record header below rank 64, every
+  // length below 16 KiB) decode inline, with no loop and no call.
+  if (p != end) [[likely]] {
+    const auto b0 = static_cast<std::uint8_t>(p[0]);
+    if ((b0 & 0x80u) == 0) [[likely]] {
+      ++p;
+      return b0;
+    }
+    if (end - p >= 2) {
+      const auto b1 = static_cast<std::uint8_t>(p[1]);
+      if ((b1 & 0x80u) == 0) {
+        p += 2;
+        return (b0 & 0x7fu) | (static_cast<std::uint64_t>(b1) << 7);
+      }
+    }
+  }
+  return varint_decode_long(p, end);
 }
 
 /// Write the minimal LEB128 encoding of v at p (no bounds check — the
