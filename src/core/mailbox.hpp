@@ -18,12 +18,14 @@
 // §III's asynchronous SEND_BCAST) ride the same machinery via the world's
 // bcast_next_hops().
 //
-// Per-record cost: a message type the archive encodes as its own object
-// bytes (ser::is_bitwise_v) of at most one cache line is appended with raw
-// stores; every other type is serialized in place. Every bitwise type is
-// copied out on delivery once, straight into the object the callback sees,
-// with no archive. Relays — forwards and broadcast fan-out — copy the
-// encoded record verbatim.
+// Per-record cost: each next hop's coalescing buffer is a packet_builder
+// (core/packet.hpp), whose spare room grows a chunk at a time. A message
+// type the archive encodes as its own object bytes (ser::is_bitwise_v) of
+// at most one cache line is appended with one room check and raw stores;
+// every other type is serialized in place. Every bitwise type is copied out
+// on delivery once, straight into the object the callback sees, with no
+// archive. Relays — forwards and broadcast fan-out — copy the encoded
+// record verbatim, with one memcpy.
 //
 // Termination (paper §IV-B): wait_empty() blocks until globally quiescent
 // (collective: every rank must call it); test_empty() is the nonblocking
@@ -183,7 +185,7 @@ class mailbox {
     credit_gate(nh, lk);
     world_->virtual_charge_events(1);
     std::size_t before = 0;
-    auto& buf = begin_record(nh, before);
+    packet_builder& buf = begin_record(nh, before);
     if (traced) append_trace_escape(buf, tc);
     append_message(buf, /*is_bcast=*/false, dest, m);
     if (traced) note_trace_pending(nh, tc, len_hint_);
@@ -211,12 +213,12 @@ class mailbox {
     // so a mid-loop flush cannot invalidate the span.
     world_->virtual_charge_events(1);
     std::size_t before = 0;
-    auto& fbuf = begin_record(hops[0], before);
+    packet_builder& fbuf = begin_record(hops[0], before);
     const std::size_t rec_at = fbuf.size();
     append_message(fbuf, /*is_bcast=*/true, rank_, m);
     finish_record(hops[0], fbuf, before);
-    const std::span<const std::byte> record(fbuf.data() + rec_at,
-                                            fbuf.size() - rec_at);
+    // Valid across the fan-out: the siblings append to other builders.
+    const std::span<const std::byte> record = fbuf.bytes().subspan(rec_at);
     for (std::size_t i = 1; i < hops.size(); ++i) {
       enqueue(hops[i], record, len_hint_, nullptr, /*defer_flush=*/true);
     }
@@ -345,12 +347,9 @@ class mailbox {
   /// Messages whose archive encoding is their object bytes and that fit one
   /// cache line are appended with raw stores; larger ones are serialized in
   /// place, to the same bytes. (deliver() skips the archive for every
-  /// bitwise message.) Raised to 1 KiB, this cap cost the benchmark's 1 KiB
-  /// shm records (bulk_local) a median 28% of their message rate (4
-  /// interleaved pairs, 4-core Xeon VM, GCC 12). On that path
-  /// packet_append_bitwise's resize zero-fills the record before the copy,
-  /// and GCC expands a constant 1 KiB memcpy inline as `rep movsq`
-  /// (docs/PERF.md, "Life of a message").
+  /// bitwise message.) The cap stays because GCC expands a constant 1 KiB
+  /// memcpy inline as `rep movsq`, which is slow on the benchmark's 1 KiB
+  /// shm records (bulk_local; docs/PERF.md, "Life of a message").
   static constexpr bool bitwise_records =
       ser::is_bitwise_v<Msg> && sizeof(Msg) <= 64;
 
@@ -359,7 +358,7 @@ class mailbox {
 
   /// Encode one message record at the end of `buf`. Afterwards len_hint_
   /// holds its payload size.
-  void append_message(std::vector<std::byte>& buf, bool is_bcast, int addr,
+  void append_message(packet_builder& buf, bool is_bcast, int addr,
                       const Msg& m) {
     if constexpr (bitwise_records) {
       packet_append_bitwise(buf, is_bcast, addr, m);
@@ -368,37 +367,41 @@ class mailbox {
       // Zero-copy: serialize straight into the coalescing buffer's record
       // slot (no scratch round-trip). The previous payload size seeds the
       // length-slot width, so fixed-size message streams never shift bytes.
-      len_hint_ = packet_append_inplace(buf, is_bcast, addr, len_hint_,
+      len_hint_ = packet_append_inplace(buf.vec(), is_bcast, addr, len_hint_,
                                         [&](std::vector<std::byte>& out) {
                                           ser::append_bytes(m, out);
                                         })
                       .payload_size;
+      buf.sync();
     }
   }
 
   /// `before_out` is sampled ahead of the arrival-stamp reservation so the
   /// 8-byte stamp counts toward queued_bytes_: capacity triggering and the
   /// byte counters must agree with the bytes that actually hit the wire.
-  std::vector<std::byte>& begin_record(int next_hop, std::size_t& before_out) {
+  packet_builder& begin_record(int next_hop, std::size_t& before_out) {
     YGM_ASSERT(next_hop != rank_);
-    auto& buf = buffers_[static_cast<std::size_t>(next_hop)];
+    packet_builder& buf = buffers_[static_cast<std::size_t>(next_hop)];
     before_out = buf.size();
     if (buf.empty()) {
-      // A flushed buffer was moved to the transport; recycle drained
+      // A flushed packet was moved to the transport; recycle drained
       // capacity from this rank's pool instead of re-paying the growth
       // chain (docs/PERF.md has the ownership lifecycle).
       if (buf.capacity() == 0) {
-        buf = buffer_pool::local().acquire(
-            std::min<std::size_t>(capacity_, 4096));
+        buf.adopt(buffer_pool::local().acquire(
+            std::min<std::size_t>(capacity_, 4096)));
       }
       nonempty_.push_back(next_hop);
       // Reserve the packet's arrival-time slot (virtual-time mode).
-      if (world_->timed()) buf.resize(sizeof(double));
+      if (world_->timed()) {
+        buf.vec().resize(sizeof(double));
+        buf.sync();
+      }
     }
     return buf;
   }
 
-  void finish_record(int next_hop, const std::vector<std::byte>& buf,
+  void finish_record(int next_hop, const packet_builder& buf,
                      std::size_t before) {
     queued_bytes_ += buf.size() - before;
     ++record_counts_[static_cast<std::size_t>(next_hop)];
@@ -435,6 +438,16 @@ class mailbox {
     telemetry::count("trace.annotated_records");
   }
 
+  void append_trace_escape(packet_builder& buf,
+                           const telemetry::causal::wire_ctx& trace) {
+    append_trace_escape(buf.vec(), trace);
+    buf.sync();
+  }
+
+  /// Encoded size of one trace escape record.
+  static constexpr std::size_t trace_escape_bytes = packet_record_size(
+      packet_trace_escape, telemetry::causal::wire_ctx_bytes);
+
   void note_trace_pending(int next_hop,
                           const telemetry::causal::wire_ctx& trace,
                           std::size_t payload_bytes) {
@@ -448,7 +461,7 @@ class mailbox {
   /// Relay an already-encoded record (forwards and broadcast fan-out): a
   /// relay sends the same (addr, is_bcast, payload) on, so the record's
   /// bytes are copied verbatim. The span points into the received packet
-  /// or a sibling buffer, never into buffers_[next_hop] itself.
+  /// or a sibling builder, never into buffers_[next_hop] itself.
   ///
   /// `defer_flush` lets callers holding a span into another coalescing
   /// buffer postpone the inline flush check until the span is dead.
@@ -458,12 +471,12 @@ class mailbox {
                bool defer_flush = false) {
     world_->virtual_charge_events(1);
     std::size_t before = 0;
-    auto& buf = begin_record(next_hop, before);
+    packet_builder& buf = begin_record(next_hop, before);
     if (trace != nullptr) {
       append_trace_escape(buf, *trace);
       note_trace_pending(next_hop, *trace, payload_bytes);
     }
-    buf.insert(buf.end(), record.begin(), record.end());
+    buf.append(record);
     finish_record(next_hop, buf, before);
     // Forwarding during an exchange can overfill the buffers; flush inline
     // (without re-entering the poll loop).
@@ -522,8 +535,7 @@ class mailbox {
     if (in_exchange_.load(std::memory_order_relaxed)) return;
     const std::size_t next_cost =
         packet_record_size(next_hop, len_hint_) + sizeof(double) +
-        packet_record_size(packet_trace_escape,
-                           telemetry::causal::wire_ctx_bytes) +
+        trace_escape_bytes +
         packet_record_size(packet_credit_escape, sizeof(std::uint64_t));
     if (credit_over(next_hop, next_cost)) [[unlikely]] {
       credit_stall(next_hop, next_cost, lk);
@@ -562,6 +574,7 @@ class mailbox {
       // and the idle-link exception above then admits the send. Mirrors
       // flush()'s bookkeeping for the one link.
       if (credit_used_[hop] == 0 && !buffers_[hop].empty()) {
+        ++stats_.credit_self_flushes;
         queued_bytes_ -= buffers_[hop].size();
         nonempty_.erase(
             std::find(nonempty_.begin(), nonempty_.end(), next_hop));
@@ -638,8 +651,13 @@ class mailbox {
   }
 
   void flush_buffer(int nh) {
-    auto& buf = buffers_[static_cast<std::size_t>(nh)];
+    packet_builder& buf = buffers_[static_cast<std::size_t>(nh)];
     YGM_ASSERT(!buf.empty());
+    auto& pend = pending_traces_[static_cast<std::size_t>(nh)];
+    // The packet's bytes that are not message records: the arrival stamp,
+    // one trace escape per sampled record, and the credit escape below.
+    std::size_t control_bytes = (world_->timed() ? sizeof(double) : 0) +
+                                pend.size() * trace_escape_bytes;
     // Piggyback this link's owed credit on the outgoing packet: one escape
     // record, zero extra messages. Appended before the stats below so the
     // byte counters match the wire.
@@ -648,25 +666,30 @@ class mailbox {
       if (owed != 0) {
         std::array<std::byte, sizeof(std::uint64_t)> amount;
         std::memcpy(amount.data(), &owed, sizeof(std::uint64_t));
-        packet_append(buf, /*is_bcast=*/false, packet_credit_escape, amount);
+        const std::size_t at = buf.size();
+        packet_append(buf.vec(), /*is_bcast=*/false, packet_credit_escape,
+                      amount);
+        buf.sync();
+        control_bytes += buf.size() - at;
         owed = 0;
       }
     }
+    const std::size_t bytes = buf.size();
+    stats_.record_bytes += bytes - control_bytes;
     const bool remote = world_->topo().is_remote(rank_, nh);
     if (remote) {
       ++stats_.remote_packets;
-      stats_.remote_bytes += buf.size();
+      stats_.remote_bytes += bytes;
       telemetry::sample(telemetry::fast_histogram::remote_packet_bytes,
-                        static_cast<double>(buf.size()));
+                        static_cast<double>(bytes));
     } else {
       ++stats_.local_packets;
-      stats_.local_bytes += buf.size();
+      stats_.local_bytes += bytes;
       telemetry::sample(telemetry::fast_histogram::local_packet_bytes,
-                        static_cast<double>(buf.size()));
+                        static_cast<double>(bytes));
     }
     stats_.hops_sent += record_counts_[static_cast<std::size_t>(nh)];
     record_counts_[static_cast<std::size_t>(nh)] = 0;
-    auto& pend = pending_traces_[static_cast<std::size_t>(nh)];
     if (!pend.empty()) {
       // One flush hop per sampled record: the span covers the record's
       // residency in this coalescing buffer, the byte arg is the size of
@@ -674,27 +697,26 @@ class mailbox {
       const double flush_us = telemetry::now_us();
       for (const auto& p : pend) {
         telemetry::causal::record_hop(
-            p.ctx, telemetry::causal::hop_kind::flush, p.enqueue_us,
-            buf.size());
+            p.ctx, telemetry::causal::hop_kind::flush, p.enqueue_us, bytes);
         telemetry::live::note_latency(scheme_index(),
                                       telemetry::live::latency_kind::flush,
                                       flush_us - p.enqueue_us);
       }
       pend.clear();
     }
+    // The builder is left without storage; the next record for this hop
+    // re-acquires capacity from the pool (the receiver releases the
+    // drained packet to its own pool, keeping the cycle allocation-free in
+    // the steady state).
+    std::vector<std::byte> packet = buf.take();
     if (world_->timed()) {
       // Charge the sender's virtual clock for the transfer and stamp the
       // packet with its arrival time at the receiver.
-      const double arrival = world_->virtual_charge_packet(buf.size(), remote);
-      std::memcpy(buf.data(), &arrival, sizeof(double));
+      const double arrival = world_->virtual_charge_packet(bytes, remote);
+      std::memcpy(packet.data(), &arrival, sizeof(double));
     }
-    credit_charge(nh, buf.size());
-    // Moved-from: buf is left empty with no capacity; the next record for
-    // this hop re-acquires capacity from the pool (the receiver releases
-    // the drained packet to its own pool, keeping the cycle allocation-free
-    // in the steady state).
-    world_->mpi().send_bytes(nh, data_tag_, std::move(buf));
-    buf.clear();
+    credit_charge(nh, bytes);
+    world_->mpi().send_bytes(nh, data_tag_, std::move(packet));
   }
 
   // Reentrant (or engine-raced) calls are no-ops: a receive callback that
@@ -1061,7 +1083,7 @@ class mailbox {
   int data_tag_;
   termination_detector term_;
 
-  std::vector<std::vector<std::byte>> buffers_;  // keyed by next-hop rank
+  std::vector<packet_builder> buffers_;  // keyed by next-hop rank
   std::vector<std::uint32_t> record_counts_;
   std::vector<int> nonempty_;
   std::size_t queued_bytes_ = 0;

@@ -22,10 +22,13 @@
 // pre-tracing format.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -125,28 +128,114 @@ packet_inplace_result packet_append_inplace(std::vector<std::byte>& packet,
   return {slot_at + width, len};
 }
 
+/// A packet under construction: a pooled vector plus a fill mark. The
+/// vector's elements past the mark are spare room, grown one fixed chunk at
+/// a time, so appending a record is one compare (room), raw stores and
+/// commit, never a vector growth per record. The spare room is sized,
+/// zero-filled elements, not reserved capacity: every store lands inside
+/// size(), where ASan's container-overflow checks and _GLIBCXX_ASSERTIONS
+/// see it.
+///
+/// Appenders that grow a vector themselves (packet_append for the escape
+/// records, packet_append_inplace) work on vec(), which gives the spare
+/// room up, and call sync() after. take() hands the packet on trimmed to
+/// the mark, so the wire bytes are exactly the appended ones.
+class packet_builder {
+ public:
+  /// Spare room added per growth.
+  static constexpr std::size_t chunk_bytes = 4096;
+
+  /// Bytes appended so far.
+  std::size_t size() const noexcept { return mark_; }
+  bool empty() const noexcept { return mark_ == 0; }
+  /// 0 until adopt(), and again after take().
+  std::size_t capacity() const noexcept { return vec_.capacity(); }
+  /// The appended bytes; valid until this builder's next room(), vec()
+  /// or take().
+  std::span<const std::byte> bytes() const noexcept {
+    return {vec_.data(), mark_};
+  }
+
+  /// Build the next packet in `storage`, an empty (pooled) vector.
+  void adopt(std::vector<std::byte> storage) noexcept {
+    vec_ = std::move(storage);
+    vec_.clear();
+    mark_ = 0;
+  }
+
+  /// At least `n` writable bytes at the fill mark; commit() appends them.
+  [[gnu::always_inline]] std::byte* room(std::size_t n) {
+    if (vec_.size() - mark_ < n) [[unlikely]] grow(n);
+    return vec_.data() + mark_;
+  }
+  /// Append the first `n` bytes written at room()'s pointer.
+  void commit(std::size_t n) noexcept { mark_ += n; }
+
+  /// Append `bytes` verbatim; they must not lie in this builder.
+  void append(std::span<const std::byte> bytes) {
+    std::memcpy(room(bytes.size()), bytes.data(), bytes.size());
+    commit(bytes.size());
+  }
+
+  /// The vector, trimmed to the mark, for appenders that grow it
+  /// themselves; sync() after.
+  std::vector<std::byte>& vec() noexcept {
+    trim();
+    return vec_;
+  }
+  /// Take what was appended to vec() into the packet.
+  void sync() noexcept { mark_ = vec_.size(); }
+
+  /// The finished packet, trimmed to the mark. Leaves the builder empty
+  /// and without storage (adopt() gives it new storage).
+  std::vector<std::byte> take() noexcept {
+    trim();
+    mark_ = 0;
+    return std::exchange(vec_, {});
+  }
+
+ private:
+  void trim() noexcept {
+    if (mark_ < vec_.size()) {
+      vec_.erase(vec_.begin() + static_cast<std::ptrdiff_t>(mark_),
+                 vec_.end());
+    }
+  }
+  [[gnu::noinline]] void grow(std::size_t n) {
+    vec_.resize(mark_ + std::max(n, chunk_bytes));
+  }
+
+  std::vector<std::byte> vec_;
+  std::size_t mark_ = 0;  ///< appended bytes; vec_.size() - mark_ is spare
+};
+
 /// Append one record whose payload is the object bytes of `v` — the
-/// archive's encoding of a ser::is_bitwise_v type — with one buffer growth
+/// archive's encoding of a ser::is_bitwise_v type — with one room check
 /// and raw stores. Byte-identical to packet_append(…, ser::to_bytes(v)).
 template <class T>
-void packet_append_bitwise(std::vector<std::byte>& packet, bool is_bcast,
-                           int addr, const T& v) {
+void packet_append_bitwise(packet_builder& packet, bool is_bcast, int addr,
+                           const T& v) {
   static_assert(ser::is_bitwise_v<T>, "payload type is not bitwise");
   YGM_ASSERT(addr >= 0);
   constexpr std::size_t len_width = ser::varint_size(sizeof(T));
+  // The room asked for is a constant: the widest header of any address.
+  constexpr std::size_t max_bytes =
+      ser::varint_size(
+          (std::uint64_t{std::numeric_limits<int>::max()} << 1) | 1u) +
+      len_width + sizeof(T);
   const std::uint64_t header =
       (static_cast<std::uint64_t>(addr) << 1) | (is_bcast ? 1u : 0u);
-  const std::size_t at = packet.size();
-  packet.resize(at + ser::varint_size(header) + len_width + sizeof(T));
-  std::byte* p = packet.data() + at;
+  std::byte* const start = packet.room(max_bytes);
+  std::byte* p = start;
   p += ser::varint_encode_at(header, p);
   p += ser::varint_encode_at(sizeof(T), p);
   std::memcpy(p, &v, sizeof(T));
+  packet.commit(static_cast<std::size_t>(p - start) + sizeof(T));
 }
 
 /// Upper bound on the encoded size of one record (for capacity accounting).
-inline std::size_t packet_record_size(int addr,
-                                      std::size_t payload_bytes) noexcept {
+constexpr std::size_t packet_record_size(int addr,
+                                         std::size_t payload_bytes) noexcept {
   return ser::varint_size(static_cast<std::uint64_t>(addr) << 1) +
          ser::varint_size(payload_bytes) + payload_bytes;
 }

@@ -33,6 +33,11 @@ struct mailbox_stats {
   std::uint64_t remote_bytes = 0;
   std::uint64_t flushes = 0;         ///< capacity-triggered exchanges
   std::uint64_t credit_stalls = 0;   ///< sends blocked on exhausted credit
+  /// Bytes of message records in shipped packets, each hop counted: packet
+  /// bytes less arrival stamps, trace escapes and credit escapes.
+  std::uint64_t record_bytes = 0;
+  /// Partial buffers a credit stall shipped to free its own link.
+  std::uint64_t credit_self_flushes = 0;
 
   mailbox_stats& operator+=(const mailbox_stats& o) {
     app_sends += o.app_sends;
@@ -47,6 +52,8 @@ struct mailbox_stats {
     remote_bytes += o.remote_bytes;
     flushes += o.flushes;
     credit_stalls += o.credit_stalls;
+    record_bytes += o.record_bytes;
+    credit_self_flushes += o.credit_self_flushes;
     return *this;
   }
 
@@ -107,6 +114,8 @@ struct mailbox_stats {
     m.counter(p + ".remote_bytes") += remote_bytes;
     m.counter(p + ".flushes") += flushes;
     m.counter(p + ".credit_stalls") += credit_stalls;
+    m.counter(p + ".record_bytes") += record_bytes;
+    m.counter(p + ".credit_self_flushes") += credit_self_flushes;
   }
 };
 

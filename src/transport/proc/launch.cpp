@@ -200,6 +200,12 @@ std::vector<std::vector<std::byte>> launch(
   // replayed once per rank.
   std::fflush(nullptr);
 
+  // A caller-supplied directory may hold the abort marker of an earlier
+  // run that was poisoned and then lost its launcher.
+  if (backend == backend_kind::shm) {
+    (void)::unlink(shm::abort_marker(dir).c_str());
+  }
+
   // Ranks check this pid in every bounded wait: a launcher killed before
   // it reaps them must not leave them running, or their segments behind.
   note_launcher();
@@ -317,11 +323,12 @@ std::vector<std::vector<std::byte>> launch(
 
   // Sweep shm segments first (healthy ranks unlinked their own already, so
   // this only catches ranks that died before their endpoint destructor
-  // ran), then the directory itself.
+  // ran) and the abort marker, then the directory itself.
   if (backend == backend_kind::shm) {
     for (int r = 0; r < nranks; ++r) {
       (void)::shm_unlink(shm::segment_name(dir, r).c_str());
     }
+    (void)::unlink(shm::abort_marker(dir).c_str());
   }
   if (own_dir) remove_rendezvous_dir(dir);
 

@@ -70,7 +70,16 @@ std::string segment_name(const std::string& dir, int rank) {
   return "/" + token + ".r" + std::to_string(rank);
 }
 
+std::string abort_marker(const std::string& dir) {
+  return dir + "/shm.aborted";
+}
+
 void poison_world(const std::string& dir, int nranks) {
+  // The marker first: a rank that initializes its segment after the loop
+  // below touched it still finds the marker when it next checks.
+  const int mfd = ::open(abort_marker(dir).c_str(),
+                         O_CREAT | O_WRONLY | O_CLOEXEC, 0600);
+  if (mfd >= 0) ::close(mfd);
   for (int r = 0; r < nranks; ++r) {
     const int fd = ::shm_open(segment_name(dir, r).c_str(), O_RDWR, 0600);
     if (fd < 0) continue;  // never created, or already unlinked
@@ -161,13 +170,19 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
   // retrying while the file is still appearing or being sized. A faster
   // peer may already have finished its handshake, failed, poisoned every
   // segment it mapped (ours included) and unlinked its own; every retry
-  // therefore also reads our own abort flag and ends with the abort echo
-  // the launcher recognises, instead of waiting out the deadline and
-  // reporting a timeout that hides the real failure.
+  // therefore also reads our own abort flag and the launcher's abort
+  // marker (left when a rank died before it could poison anyone) and ends
+  // with the abort echo the launcher recognises, instead of waiting out
+  // the deadline and reporting a timeout that hides the real failure.
   const double deadline = monotonic_seconds() + handshake_timeout_s;
-  const auto check_retry = [&](const std::string& waiting_for) {
-    YGM_CHECK(h->aborted.load(std::memory_order_acquire) == 0,
+  const std::string marker = abort_marker(dir);
+  const auto check_aborted = [&] {
+    YGM_CHECK(h->aborted.load(std::memory_order_acquire) == 0 &&
+                  ::access(marker.c_str(), F_OK) != 0,
               "shm world aborted during rendezvous");
+  };
+  const auto check_retry = [&](const std::string& waiting_for) {
+    check_aborted();
     YGM_CHECK(monotonic_seconds() < deadline,
               "shm rendezvous timed out " + waiting_for);
   };
@@ -209,6 +224,9 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
                   static_cast<std::byte*>(pbase) + data_at(nranks_, rank_),
                   ring_bytes);
   }
+  // Every peer was up at once, so no retry looked: a poison that reached
+  // our segment before our header was initialized left only the marker.
+  check_aborted();
 }
 
 endpoint::~endpoint() {

@@ -135,11 +135,18 @@ constexpr std::size_t segment_bytes(int nranks) {
 /// launcher's orphan sweep and tests can reconstruct names.
 std::string segment_name(const std::string& dir, int rank);
 
-/// Poison the world rendezvoused under `dir` from outside it: set the
-/// abort flag in every rank segment that exists and ring its recv
-/// doorbell, so ranks parked on a dead peer wake and fail. The launcher
-/// calls this when a rank's result pipe closes without a report.
+/// Poison the world rendezvoused under `dir` from outside it: leave the
+/// abort marker in `dir`, then set the abort flag in every rank segment
+/// that exists and ring its recv doorbell, so ranks parked on a dead peer
+/// wake and fail. The launcher calls this when a rank's result pipe closes
+/// without a report.
 void poison_world(const std::string& dir, int nranks);
+
+/// "<dir>/shm.aborted", the marker poison_world leaves. A rank whose
+/// segment did not exist yet at the poison (it was still starting up, or
+/// its header initialization overwrote the flag) finds the marker in its
+/// rendezvous and fails at once. The launcher removes it after the run.
+std::string abort_marker(const std::string& dir);
 
 class endpoint final : public transport::endpoint {
  public:

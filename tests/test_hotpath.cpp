@@ -5,7 +5,8 @@
 //     sizes straddling every varint width boundary, bcast flags, and
 //     length-slot hints (matching, too narrow, too wide); the same for
 //     packet_append_bitwise (fixed-width records) and for the encoded
-//     record spans relays copy verbatim;
+//     record spans relays copy verbatim, all appended through one
+//     packet_builder across its chunk growths and reallocations;
 //   * buffer_pool unit behaviour: hit/miss accounting, the bounded
 //     high-water retention that frees oversized buffers, the max_pooled
 //     cap, and the sliding-window decay of the retention bound;
@@ -78,6 +79,8 @@ using ygm::core::mailbox;
 using ygm::core::packet_append;
 using ygm::core::packet_append_bitwise;
 using ygm::core::packet_append_inplace;
+using ygm::core::packet_builder;
+using ygm::core::packet_credit_escape;
 using ygm::core::packet_reader;
 using ygm::core::packet_trace_escape;
 using ygm::core::run_chaos_trial;
@@ -97,6 +100,117 @@ std::vector<std::byte> fuzz_payload(std::size_t len, std::uint64_t seed) {
     b = static_cast<std::byte>(x & 0xFF);
   }
   return p;
+}
+
+struct pod16 {
+  std::uint64_t a;
+  std::uint32_t b;
+  std::int16_t c;
+  std::uint8_t d[2];
+};
+static_assert(sizeof(pod16) == 16 && ygm::ser::is_bitwise_v<pod16>);
+
+std::array<std::byte, 64> fuzz_line(std::uint64_t seed) {
+  std::array<std::byte, 64> line{};
+  const auto bytes = fuzz_payload(line.size(), seed);
+  std::copy(bytes.begin(), bytes.end(), line.begin());
+  return line;
+}
+
+/// One record the reader must return, in stream order.
+struct expected_record {
+  bool is_bcast = false;
+  int addr = -1;
+  std::vector<std::byte> payload;
+};
+
+/// A packet appended through one packet_builder, and the same records
+/// appended by copy (packet_append) into a plain vector.
+struct mixed_stream {
+  std::vector<std::byte> packet;     ///< the builder's take()
+  std::vector<std::byte> reference;  ///< packet_append of the same records
+  std::vector<expected_record> records;
+  std::size_t reallocations = 0;  ///< capacity changes seen while building
+};
+
+/// `reps` rounds of: fixed-width records of 1, 8, 16 and 64 bytes at every
+/// address of the list with both broadcast flags (raw stores through
+/// room()/commit()), relays of the round's encoded record spans read back
+/// from a copy-built packet (append()), a trace escape, an in-place record
+/// and a credit escape (vec()/sync()). The builder starts from a small
+/// reservation, so it grows chunk by chunk and reallocates several times.
+mixed_stream build_mixed_stream(int reps) {
+  const int addrs[] = {0, 1, 63, 64, 1000, packet_trace_escape};
+  mixed_stream m;
+  packet_builder builder;
+  std::vector<std::byte> small;
+  small.reserve(512);
+  builder.adopt(std::move(small));
+  std::size_t capacity = builder.capacity();
+  const auto expect = [&](bool is_bcast, int addr,
+                          std::span<const std::byte> payload) {
+    packet_append(m.reference, is_bcast, addr, payload);
+    m.records.push_back(
+        {is_bcast, addr, {payload.begin(), payload.end()}});
+    // Every append keeps the builder's size equal to the reference's.
+    EXPECT_EQ(builder.size(), m.reference.size());
+    if (builder.capacity() != capacity) {
+      capacity = builder.capacity();
+      ++m.reallocations;
+    }
+  };
+  std::uint64_t seed = 1000;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<std::byte> round;  // this round's records, copy-appended
+    const auto fixed = [&](const auto& v) {
+      for (const int addr : addrs) {
+        for (const bool bcast : {false, true}) {
+          packet_append_bitwise(builder, bcast, addr, v);
+          expect(bcast, addr, ygm::ser::to_bytes(v));
+          packet_append(round, bcast, addr, ygm::ser::to_bytes(v));
+        }
+      }
+    };
+    for (int i = 0; i < 8; ++i) {
+      ++seed;
+      fixed(static_cast<std::uint8_t>(seed));
+      fixed(std::uint64_t{seed * 0x9E3779B97F4A7C15ULL});
+      fixed(pod16{seed, static_cast<std::uint32_t>(seed * 3),
+                  static_cast<std::int16_t>(-static_cast<int>(seed % 100)),
+                  {static_cast<std::uint8_t>(seed), 2}});
+      fixed(fuzz_line(seed));
+    }
+    // Relays copy encoded spans verbatim, as forwards and broadcast
+    // siblings do.
+    for (packet_reader r({round.data(), round.size()}); !r.done();) {
+      const auto rec = r.next();
+      builder.append(rec.encoded);
+      expect(rec.is_bcast, rec.addr, rec.payload);
+    }
+    // Escapes and the in-place serializer reach the vector itself.
+    const auto trace = fuzz_payload(24, ++seed);
+    packet_append(builder.vec(), false, packet_trace_escape, trace);
+    builder.sync();
+    expect(false, packet_trace_escape, trace);
+    const auto inplace =
+        fuzz_payload(100 + 37 * static_cast<std::size_t>(rep), ++seed);
+    packet_append_inplace(builder.vec(), rep % 2 == 0, rep, 0,
+                          [&](std::vector<std::byte>& out) {
+                            out.insert(out.end(), inplace.begin(),
+                                       inplace.end());
+                          });
+    builder.sync();
+    expect(rep % 2 == 0, rep, inplace);
+    std::array<std::byte, sizeof(std::uint64_t)> credit{};
+    credit[0] = static_cast<std::byte>(rep);
+    packet_append(builder.vec(), false, packet_credit_escape, credit);
+    builder.sync();
+    expect(false, packet_credit_escape, credit);
+  }
+  m.packet = builder.take();
+  EXPECT_TRUE(builder.empty());
+  EXPECT_EQ(builder.capacity(), 0u);
+  return m;
 }
 
 TEST(PacketInplace, ByteIdenticalToCopyAppendAcrossTheMatrix) {
@@ -136,26 +250,24 @@ TEST(PacketInplace, ByteIdenticalToCopyAppendAcrossTheMatrix) {
       for (const bool bcast : {false, true}) {
         std::vector<std::byte> reference;
         packet_append(reference, bcast, addr, ygm::ser::to_bytes(v));
-        std::vector<std::byte> raw;
+        packet_builder raw;
         packet_append_bitwise(raw, bcast, addr, v);
-        ASSERT_EQ(raw, reference) << "size=" << sizeof(v) << " addr=" << addr
-                                  << " bcast=" << bcast;
+        ASSERT_EQ(raw.take(), reference)
+            << "size=" << sizeof(v) << " addr=" << addr << " bcast=" << bcast;
       }
     }
   };
-  struct pod16 {
-    std::uint64_t a;
-    std::uint32_t b;
-    std::int16_t c;
-    std::uint8_t d[2];
-  };
-  static_assert(sizeof(pod16) == 16 && ygm::ser::is_bitwise_v<pod16>);
-  std::array<std::byte, 64> line{};
-  const auto bytes64 = fuzz_payload(line.size(), 99);
-  std::copy(bytes64.begin(), bytes64.end(), line.begin());
+  check_bitwise(std::uint8_t{0xa5});
   check_bitwise(std::uint64_t{0x0123456789abcdefULL});
   check_bitwise(pod16{~0ULL, 7, -3, {1, 2}});
-  check_bitwise(line);
+  check_bitwise(fuzz_line(99));
+
+  // The same records as one stream through one builder, with relays and
+  // escapes in between, across many chunk growths and reallocations.
+  const mixed_stream m = build_mixed_stream(/*reps=*/12);
+  ASSERT_GE(m.packet.size(), 8 * packet_builder::chunk_bytes);
+  ASSERT_GE(m.reallocations, 2u);
+  ASSERT_EQ(m.packet, m.reference);
 }
 
 TEST(PacketInplace, MultiRecordPacketRoundTripsThroughReader) {
@@ -189,6 +301,22 @@ TEST(PacketInplace, MultiRecordPacketRoundTripsThroughReader) {
               fresh);
   }
   EXPECT_EQ(i, payloads.size());
+
+  // A builder's packet reads back record by record: fixed-width records,
+  // relays, escapes and in-place records, in append order.
+  const mixed_stream m = build_mixed_stream(/*reps=*/6);
+  std::size_t k = 0;
+  for (packet_reader r({m.packet.data(), m.packet.size()}); !r.done(); ++k) {
+    const auto rec = r.next();
+    ASSERT_LT(k, m.records.size());
+    const expected_record& want = m.records[k];
+    ASSERT_EQ(rec.addr, want.addr) << "record " << k;
+    ASSERT_EQ(rec.is_bcast, want.is_bcast) << "record " << k;
+    ASSERT_EQ(std::vector<std::byte>(rec.payload.begin(), rec.payload.end()),
+              want.payload)
+        << "record " << k;
+  }
+  EXPECT_EQ(k, m.records.size());
 }
 
 // ----------------------------------------------------- buffer_pool units

@@ -329,8 +329,6 @@ TEST(ShmHandshake, PoisonedSegmentEndsRendezvousWithAbortEcho) {
   ::rmdir(dir.c_str());
 }
 
-// ---------------------------------------------------- orphaned segments
-
 void expect_no_segments(const std::string& dir, int nranks) {
   for (int r = 0; r < nranks; ++r) {
     const std::string name = shm::segment_name(dir, r);
@@ -341,6 +339,40 @@ void expect_no_segments(const std::string& dir, int nranks) {
     EXPECT_EQ(errno, ENOENT) << name;
   }
 }
+
+TEST(ShmHandshake, PoisonBeforeSegmentExistsEndsRendezvous) {
+  // Rank 1 died before creating its segment, and the launcher poisoned the
+  // world before rank 0 had created its own: there was no flag to set.
+  // Rank 0 must still give up at once with the abort echo, through the
+  // marker the poison left in the directory, not after the 30 s deadline.
+  char tmpl[] = "/tmp/ygm-shm-handshake-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  shm::poison_world(dir, 2);
+  EXPECT_EQ(::access(shm::abort_marker(dir).c_str(), F_OK), 0);
+
+  const auto start = steady_clock::now();
+  std::string error;
+  try {
+    shm::endpoint ep(dir, 0, 2, nullptr);
+  } catch (const ygm::error& e) {
+    error = e.what();
+  }
+  const auto waited = steady_clock::now() - start;
+  EXPECT_NE(error.find("shm world aborted during rendezvous"),
+            std::string::npos)
+      << error;
+  EXPECT_LT(waited, std::chrono::seconds(5));
+
+  // The failed handshake leaves its own segment, as a rank that dies in it
+  // does; the launcher's sweep removes both, and so does this test.
+  (void)::shm_unlink(shm::segment_name(dir, 0).c_str());
+  expect_no_segments(dir, 2);
+  EXPECT_EQ(::unlink(shm::abort_marker(dir).c_str()), 0);
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
+}
+
+// ---------------------------------------------------- orphaned segments
 
 /// Rank 1 of a 2x2 NodeRemote world SIGKILLs itself mid-send, so it never
 /// unwinds, reports or poisons anyone; its peers soon block on it. The
@@ -407,6 +439,9 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   // they would park on it forever.
   expect_killed_rank_fails_fast(tp::backend_kind::shm, dir);
   expect_no_segments(dir, 4);
+  // The poison left its marker in the caller's directory; the launcher
+  // removed it with the segments.
+  EXPECT_NE(::access(shm::abort_marker(dir).c_str(), F_OK), 0);
   ::rmdir(dir.c_str());
 }
 

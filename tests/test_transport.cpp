@@ -3,8 +3,9 @@
 // communicator algebra, abort propagation), the delivery-invariant ledger
 // and a reduced chaos sweep on BOTH backends, cross-backend parity of a
 // seeded workload, 1 KiB fixed-width records on every backend (in packets
-// below and above 16 KiB), frames around every boundary of the shm ring,
-// and per-backend telemetry publication.
+// below and above 16 KiB), the mailbox's exact record-byte count on every
+// backend, frames around every boundary of the shm ring, and per-backend
+// telemetry publication.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +22,8 @@
 #include "core/invariants.hpp"
 #include "core/launch.hpp"
 #include "core/mailbox.hpp"
+#include "core/packet.hpp"
+#include "routing/router.hpp"
 #include "ser/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
@@ -328,6 +331,114 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(tp::to_string(std::get<0>(info.param))) +
              (std::get<1>(info.param) == wide_spill_capacity ? "_spill"
                                                              : "_inline");
+    });
+
+// ------------------------------------------ exact record bytes per hop
+
+/// (backend, causal-trace sample rate).
+using record_bytes_case = std::tuple<tp::backend_kind, double>;
+
+class RecordBytes : public ::testing::TestWithParam<record_bytes_case> {};
+
+TEST_P(RecordBytes, CountsEveryHopOfAFixedStreamExactly) {
+  // A fixed stream of 8-byte records over NodeRemote (so some take two
+  // hops) plus broadcasts, with a small capacity and credit budget (many
+  // packets, credit escapes, stalls that ship partial buffers). Whatever
+  // trace escapes the sampling adds and whatever credit escapes the timing
+  // adds, record_bytes is each record's encoded size once per hop.
+  const auto [backend, sample] = GetParam();
+  const ygm::routing::topology topo(2, 2);
+  constexpr auto scheme = ygm::routing::scheme_kind::node_remote;
+  constexpr std::uint64_t per_dest = 400;
+  constexpr std::uint64_t bcasts = 50;
+  auto opts = on_backend(backend, topo.num_ranks());
+  opts.trace_sample = sample;
+  opts.credit_bytes = 1024;
+  // Sampling starts journeys only on ranks with a telemetry lane.
+  tel::session session;
+  tel::set_global(&session);
+  const auto blobs = ygm::launch_collect(opts, [&](sim::comm& c) {
+    ygm::core::comm_world world(c, topo, scheme);
+    std::uint64_t delivered = 0;
+    ygm::core::mailbox<std::uint64_t> mb(
+        world, [&](const std::uint64_t&) { ++delivered; }, 512);
+    for (std::uint64_t i = 0; i < per_dest; ++i) {
+      for (int d = 0; d < c.size(); ++d) {
+        if (d != c.rank()) mb.send(d, i);
+      }
+    }
+    for (std::uint64_t i = 0; i < bcasts; ++i) mb.send_bcast(i);
+    mb.wait_empty();
+    const auto& st = mb.stats();
+    return ygm::ser::to_bytes(std::vector<std::uint64_t>{
+        st.record_bytes, st.local_bytes + st.remote_bytes, st.hops_sent,
+        st.credit_stalls, st.credit_self_flushes, delivered});
+  });
+  tel::set_global(nullptr);
+
+  const int p = topo.num_ranks();
+  const ygm::routing::router route(scheme, topo);
+  std::uint64_t want_bytes = 0;
+  std::uint64_t p2p_hops = 0;
+  for (int src = 0; src < p; ++src) {
+    for (int dst = 0; dst < p; ++dst) {
+      if (dst == src) continue;
+      const auto hops = route.path(src, dst).size();
+      p2p_hops += per_dest * hops;
+      want_bytes += per_dest * hops *
+                    ygm::core::packet_record_size(dst, sizeof(std::uint64_t));
+    }
+    // A broadcast reaches every other rank over exactly one tree edge.
+    want_bytes += bcasts * static_cast<std::uint64_t>(p - 1) *
+                  ygm::core::packet_record_size(src, sizeof(std::uint64_t));
+  }
+  std::uint64_t record_bytes = 0, packet_bytes = 0, hops_sent = 0;
+  std::uint64_t stalls = 0, self_flushes = 0, delivered = 0;
+  for (const auto& b : blobs) {
+    const auto v =
+        ygm::ser::from_bytes<std::vector<std::uint64_t>>({b.data(), b.size()});
+    ASSERT_EQ(v.size(), 6u);
+    record_bytes += v[0];
+    packet_bytes += v[1];
+    hops_sent += v[2];
+    stalls += v[3];
+    self_flushes += v[4];
+    delivered += v[5];
+  }
+  const auto peers = static_cast<std::uint64_t>(p * (p - 1));
+  EXPECT_EQ(delivered, peers * (per_dest + bcasts));
+  EXPECT_EQ(hops_sent, p2p_hops + peers * bcasts);
+  EXPECT_EQ(record_bytes, want_bytes);
+  EXPECT_LE(self_flushes, stalls);
+  std::uint64_t escapes = 0;
+#if !defined(YGM_TELEMETRY_DISABLED)
+  const auto m = session.merged_metrics();
+  EXPECT_EQ(m.counters().at("mailbox.record_bytes"), want_bytes);
+  EXPECT_EQ(m.counters().at("mailbox.credit_self_flushes"), self_flushes);
+  // Every point-to-point hop of a sampled run carries its trace escape.
+  // (trace.annotated_records is no per-hop count: in engine mode the
+  // handoff batches annotate too, and forked engine threads have no lane.)
+  if (sample == 1.0) {
+    EXPECT_GT(m.counters().at("trace.annotated_records"), 0u);
+    escapes = p2p_hops * ygm::core::packet_record_size(
+                             ygm::core::packet_trace_escape,
+                             tel::causal::wire_ctx_bytes);
+  } else {
+    EXPECT_EQ(m.counters().count("trace.annotated_records"), 0u);
+  }
+#endif
+  EXPECT_GE(packet_bytes, record_bytes + escapes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RecordBytes,
+    ::testing::Combine(::testing::Values(tp::backend_kind::inproc,
+                                         tp::backend_kind::socket,
+                                         tp::backend_kind::shm),
+                       ::testing::Values(0.0, 1.0)),
+    [](const ::testing::TestParamInfo<record_bytes_case>& info) {
+      return std::string(tp::to_string(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == 0.0 ? "_untraced" : "_traced");
     });
 
 // --------------------------------------------------- shm backend basics
