@@ -17,9 +17,10 @@
 // (when a rank finished producing and serving its own share) next to the
 // wall time.
 //
-// (Costs are modelled with sleeps: on this single-CPU host a busy-wait
-// would steal cycles from the other rank-threads, which is precisely the
-// coupling the experiment must NOT introduce.)
+// (Costs are modelled with sleeps: the 16 rank-threads share a 4-core
+// host, so a busy-wait would steal cycles from the other rank-threads,
+// which is precisely the coupling the experiment must NOT introduce. With
+// sleeps the timing assumes no free core at all.)
 #include <chrono>
 #include <cstdio>
 #include <string>

@@ -32,10 +32,10 @@ namespace {
 
 using namespace ygm;
 
-// A real busy-wait would fight for this host's single CPU across
-// oversubscribed rank-threads; sleeping models "this rank is busy not
+// A real busy-wait would fight for the host's 4 cores across more
+// rank-threads than cores; sleeping models "this rank is busy not
 // communicating" without perturbing the other ranks — which is exactly the
-// phenomenon under study.
+// phenomenon under study — and needs no free core.
 void compute_delay(double seconds) {
   std::this_thread::sleep_for(
       std::chrono::duration<double>(seconds));

@@ -2,9 +2,11 @@
 //
 // Every bench reports two kinds of rows (see DESIGN.md §2):
 //   [executed] the real mailbox running on mpisim rank-threads at a scale
-//              this one-CPU machine can execute (up to ~32 ranks), with
-//              wall time AND the time its recorded traffic would cost on
-//              the modeled Quartz-like network;
+//              one host can execute (up to ~32 ranks, so up to 8 threads
+//              per core on a 4-core host), with wall time AND the time its
+//              recorded traffic would cost on the modeled Quartz-like
+//              network (which needs no free core: it is computed from the
+//              recorded traffic, not timed);
 //   [model]    the analytic evaluator sweeping the same workload to the
 //              paper's full scale (up to 1024 nodes x 36 cores).
 // The executed rows validate the model's ordering where both exist.
@@ -116,9 +118,10 @@ inline void check_telemetry_flags(int argc, char** argv) {
 //
 // `--bench-json=<file>` makes every bench emit its result tables (and any
 // programmatic metrics registered with add_metric) as one JSON document, in
-// addition to the text/CSV tables — the machine-readable form the BENCH_*
-// perf-trajectory files are built from. Sections follow banner() calls;
-// every table printed under a banner lands in that section.
+// addition to the text tables. One call measures once; tools/bench_ab.py
+// repeats calls and builds the BENCH_* files from their metrics. Sections
+// follow banner() calls; every table printed under a banner lands in that
+// section.
 
 /// Reject malformed `--bench-json` spellings with exit 2, exactly like the
 /// `--trace-*` family: a typo must not silently run without the report.
@@ -354,16 +357,6 @@ class telemetry_guard {
 
 // ---------------------------------------------------------- table output
 
-/// Set YGM_BENCH_CSV=1 to make every bench table print machine-readable
-/// CSV instead of the aligned text layout (for plotting scripts).
-inline bool csv_mode() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("YGM_BENCH_CSV");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
-}
-
 /// Minimal fixed-width table printer (plain text, one row per line).
 class table {
  public:
@@ -376,10 +369,6 @@ class table {
 
   void print() const {
     json_report::instance().add_table(headers_, rows_);
-    if (csv_mode()) {
-      print_csv();
-      return;
-    }
     std::vector<std::size_t> width(headers_.size());
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       width[c] = headers_[c].size();
@@ -406,23 +395,6 @@ class table {
   }
 
  private:
-  void print_csv() const {
-    const auto line = [](const std::vector<std::string>& cells) {
-      std::string out;
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (c != 0) out += ',';
-        // Cells are numeric or short labels; strip any stray commas rather
-        // than quoting.
-        for (const char ch : cells[c]) {
-          out += ch == ',' ? ';' : ch;
-        }
-      }
-      std::puts(out.c_str());
-    };
-    line(headers_);
-    for (const auto& row : rows_) line(row);
-  }
-
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };

@@ -6,13 +6,14 @@
 // message). Three workloads:
 //
 //   p2p   small-message all-to-all under all four routing schemes — the
-//         headline number BENCH_hotpath.json tracks before/after;
+//         headline rows of BENCH_hotpath.json;
 //   bcast broadcast fan-out along each scheme's tree;
 //   fwd   forward-heavy NLNR point-to-point on a wider topology, where
 //         most records are re-queued by intermediaries (the forward path).
 //
-// Run with --bench-json=<file> to capture the machine-readable report;
-// `--tiny` shrinks everything for the CI smoke.
+// Run with --bench-json=<file> to capture the machine-readable report
+// (one measurement per call; tools/bench_ab.py repeats calls and writes
+// BENCH_hotpath.json); `--tiny` shrinks everything for the CI smoke.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -84,8 +85,8 @@ run_result run_world(int nranks, const Body& body) {
   res.hops = counter_or(m, "mailbox.hops_sent");
   res.bytes =
       counter_or(m, "mailbox.local_bytes") + counter_or(m, "mailbox.remote_bytes");
-  // Pool counters are absent on builds that predate the buffer pool (the
-  // "before" snapshot in BENCH_hotpath.json) — read them defensively.
+  // Counters are absent when telemetry is compiled out — read them
+  // defensively.
   res.pool_hits = counter_or(m, "pool.hits");
   res.pool_misses = counter_or(m, "pool.misses");
   res.alloc_bytes = counter_or(m, "alloc.bytes");

@@ -25,7 +25,8 @@
 // send path.
 //
 // BENCH_overlap.json tracks overlap.engine / overlap.polling (floored
-// denominator, see ratio below); the acceptance gate is ratio >= 1.2.
+// denominator, see ratio below). One call times each workload once;
+// tools/bench_ab.py repeats calls and judges the ratio on their median.
 // `--tiny` shrinks everything for the CI smoke; `--bench-json=<file>`
 // writes the machine-readable report.
 #include <algorithm>
@@ -53,20 +54,20 @@ struct knobs {
   int rounds = 48;          ///< compute/send rounds per rank
   int compute_us = 400;     ///< compute phase per round, microseconds
   int burst = 64;           ///< messages per peer per round
-  int trials = 7;           ///< min-of-N wall times per workload
   std::size_t capacity = std::size_t{1} << 18;  ///< never flush on capacity
 };
 
 /// A latency-bound compute phase: short arithmetic slices separated by
 /// clock sleeps, totalling `us` microseconds of wall time away from the
-/// runtime. The sliced shape (not a pure cycle-burning spin) matters: on a
-/// host with fewer cores than ranks — including the 1-CPU CI machine this
-/// repo's benches assume throughout (bench_util.hpp) — a hot spin leaves
-/// zero cycles for ANY progress thread, making overlap physically
-/// unmeasurable no matter the runtime. The slices model a rank that is
-/// out of the runtime but not monopolizing its core: memory stalls,
-/// device waits, oversubscribed nodes. Polling mode cannot use the gaps
-/// (nobody drains until the rank returns); the engine can.
+/// runtime. The sliced shape (not a pure cycle-burning spin) matters: the
+/// 8 ranks share a 4-core host with the engine thread, so a hot spin
+/// would leave no core for ANY progress thread, making overlap physically
+/// unmeasurable no matter the runtime. A rank busy about 10% of each
+/// slice leaves most of every core free; the timing assumes the engine
+/// gets one of them during the gaps. The slices model a rank that is out
+/// of the runtime but not monopolizing its core: memory stalls, device
+/// waits, oversubscribed nodes. Polling mode cannot use the gaps (nobody
+/// drains until the rank returns); the engine can.
 void compute(int us) {
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::microseconds(us);
@@ -84,7 +85,7 @@ enum class workload { compute_only, comm_only, both };
 /// One timed run: every rank does `rounds` of {compute phase, all-to-all
 /// send burst} (phases elided per the workload), then wait_empty. Returns
 /// the max-over-ranks wall time of the workload phase.
-double run_workload_once(progress::mode pmode, workload w, const knobs& kn) {
+double run_workload(progress::mode pmode, workload w, const knobs& kn) {
   double wall = 0;
   run_options o;
   o.nranks = 8;
@@ -125,18 +126,6 @@ double run_workload_once(progress::mode pmode, workload w, const knobs& kn) {
   return wall;
 }
 
-/// Min of `trials` runs. A single-CPU host timeslices the rank threads
-/// plus the engine, so individual wall times carry one-sided scheduling
-/// noise (a run is only ever slower than the workload, never faster); the
-/// minimum is the standard least-interference estimator.
-double run_workload(progress::mode pmode, workload w, const knobs& kn) {
-  double best = run_workload_once(pmode, w, kn);
-  for (int i = 1; i < kn.trials; ++i) {
-    best = std::min(best, run_workload_once(pmode, w, kn));
-  }
-  return best;
-}
-
 struct mode_result {
   double t_compute = 0;
   double t_comm = 0;
@@ -167,15 +156,12 @@ int main(int argc, char** argv) {
     kn.rounds = 6;
     kn.compute_us = 200;
     kn.burst = 4;
-    kn.trials = 1;
   }
   kn.rounds = static_cast<int>(
       bench::flag_int(argc, argv, "rounds", kn.rounds));
   kn.compute_us = static_cast<int>(
       bench::flag_int(argc, argv, "compute-us", kn.compute_us));
   kn.burst = static_cast<int>(bench::flag_int(argc, argv, "burst", kn.burst));
-  kn.trials = static_cast<int>(
-      bench::flag_int(argc, argv, "trials", kn.trials));
 
   std::printf("Progress-engine overlap: compute/comm decomposition, "
               "8 ranks (4 nodes x 2 cores), NLNR, capacity %zu B\n",
@@ -210,7 +196,6 @@ int main(int argc, char** argv) {
   // serialized polling run and a fully hidden engine run report 20.
   const double ratio = overlaps[1] / std::max(overlaps[0], 0.05);
   rep.add_metric("overlap.engine_vs_polling_ratio", ratio);
-  std::printf("\n  overlap engine/polling ratio: %.2f (gate: >= 1.2)\n",
-              ratio);
+  std::printf("\n  overlap engine/polling ratio: %.2f\n", ratio);
   return 0;
 }

@@ -137,10 +137,9 @@ rank_results run_inproc(
 /// The process-per-rank backends: proc::launch owns forking, rendezvous,
 /// telemetry lane shipping and error propagation; the body here runs in
 /// each forked child, so the child starts its own services (an engine
-/// thread would not survive the fork from the parent). Children ship
-/// exactly one telemetry lane per rank back to the parent, so an engine
-/// lane added in a child would be lost — those engines run without a lane
-/// and fold their summary counters into the rank's lane at teardown.
+/// thread would not survive the fork from the parent). The child's engine
+/// records onto a lane it adds to the rank's telemetry world, which ships
+/// back to the parent with the rank's lane.
 rank_results run_forked(
     transport::backend_kind backend, const run_options& opts,
     const std::optional<mpisim::chaos_config>& chaos, bool engine,
@@ -148,7 +147,8 @@ rank_results run_forked(
   return transport::proc::launch(
       backend, opts.nranks, chaos, opts.socket_dir,
       [&](transport::endpoint& ep) {
-        host_services services(engine, /*telemetry_world=*/-1);
+        const telemetry::recorder* lane = telemetry::tls();
+        host_services services(engine, lane != nullptr ? lane->world() : -1);
         mpisim::comm c(ep, world_members(ep.world_size()), ep.world_rank(),
                        transport::world_context, transport::world_context + 1);
         return fn(c);

@@ -182,13 +182,6 @@ engine::~engine() {
   telemetry::live::set_engine_driver(false);
   stop_.store(true, std::memory_order_release);
   thread_.join();
-  // The engine lane (if any) was written by the now-joined thread; without
-  // one, fold the summary counters into whichever lane the destroying
-  // thread is bound to (the socket child's rank lane — the only lanes that
-  // ship across the result pipe).
-  if (telemetry_world_ < 0 && telemetry::tls() != nullptr) {
-    publish_counters();
-  }
 }
 
 void engine::adopt(std::shared_ptr<station> st) {

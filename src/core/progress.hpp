@@ -46,9 +46,10 @@
 //     catches up.
 //
 // Chaos faults stay injected at the transport seam: the engine drains
-// through the same mpi.iprobe()/recv path as the rank, so visibility
-// delays, iprobe false negatives, and stalls hit engine-stolen progress
-// exactly as they hit polled progress.
+// through the same comm::take as the rank (the iprobe and its receive in
+// one step), which draws the same stalls, ticks and iprobe misses, so
+// visibility delays, iprobe false negatives, and stalls hit engine-stolen
+// progress exactly as they hit polled progress.
 //
 // Configuration precedence (documented once, here and in docs/PROGRESS.md):
 // explicit ygm::run_options field > YGM_* environment variable > default.
@@ -306,10 +307,9 @@ class engine {
 
   /// `telemetry_world` >= 0 binds the engine thread to a fresh lane of that
   /// telemetry world (session::add_lane), so causal hop events recorded
-  /// from the engine stitch into the same journeys as the rank lanes. Pass
-  /// -1 when the lane would not survive (socket children ship exactly one
-  /// lane per rank) — engine counters then fold into the stopping thread's
-  /// lane instead.
+  /// from the engine stitch into the same journeys as the rank lanes, and
+  /// its hop timestamps read the session clock. -1 (no session) records
+  /// nothing.
   explicit engine(int telemetry_world = -1);
   ~engine();
 

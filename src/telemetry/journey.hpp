@@ -110,8 +110,13 @@ inline journey_map stitch(std::vector<hop_record> hops) {
 
 /// Validate stitched journeys. `expected_legs(world, origin, dest)` returns
 /// the routing-scheme leg count for that pair, or -1 when unknown (then
-/// only transport-independent invariants are checked). Returns one
-/// human-readable string per violation; empty means all journeys check out.
+/// only transport-independent invariants are checked). Every leg k must
+/// hold one enqueue with hop k, every leg after the first one forward, and
+/// the deliver must not precede the origin's enqueue. A journey that lost
+/// any hop to ring overwrite (session::events_dropped) therefore fails, not
+/// only one that lost its deliver or a flush: a trace whose rings wrapped
+/// reports those journeys as broken. Returns one human-readable string per
+/// violation; empty means all journeys check out.
 inline std::vector<std::string> check_journeys(
     const journey_map& journeys,
     const std::function<int(int world, int origin, int dest)>& expected_legs =
@@ -144,6 +149,33 @@ inline std::vector<std::string> check_journeys(
         break;
       }
       prev_hop = h.hop;
+    }
+    std::vector<int> enqueues(legs, 0), forwards(legs, 0);
+    for (const auto& h : j.hops) {
+      if (h.hop >= legs) continue;
+      if (h.kind == hop_kind::enqueue) ++enqueues[h.hop];
+      if (h.kind == hop_kind::forward) ++forwards[h.hop];
+    }
+    for (std::size_t k = 0; k < legs; ++k) {
+      if (enqueues[k] != 1) {
+        fail(key, "leg " + std::to_string(k) + " has " +
+                      std::to_string(enqueues[k]) + " enqueue hops, not 1");
+      }
+      if (k > 0 && forwards[k] != 1) {
+        fail(key, "leg " + std::to_string(k) + " has " +
+                      std::to_string(forwards[k]) + " forward hops, not 1");
+      }
+    }
+    const double deliver_us =
+        std::find_if(j.hops.begin(), j.hops.end(), [](const hop_record& h) {
+          return h.kind == hop_kind::deliver;
+        })->ts_us;
+    for (const auto& h : j.hops) {
+      if (h.hop == 0 && h.kind == hop_kind::enqueue && deliver_us < h.ts_us) {
+        fail(key, "deliver at " + std::to_string(deliver_us) +
+                      " us precedes the origin's enqueue at " +
+                      std::to_string(h.ts_us) + " us");
+      }
     }
     if (expected_legs) {
       const int want = expected_legs(key.first, j.origin(), j.dest());

@@ -161,6 +161,13 @@ int session::add_lane(int world) {
   return rank;
 }
 
+int session::lane_count(int world) const {
+  std::lock_guard lock(mtx_);
+  YGM_CHECK(world >= 0 && world < static_cast<int>(worlds_.size()),
+            "telemetry world index out of range");
+  return static_cast<int>(worlds_[static_cast<std::size_t>(world)].size());
+}
+
 recorder& session::rank_recorder(int world, int rank) {
   std::lock_guard lock(mtx_);
   YGM_CHECK(world >= 0 && world < static_cast<int>(worlds_.size()),

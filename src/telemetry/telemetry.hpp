@@ -185,6 +185,9 @@ class session {
   /// engine records causal hop events and steal counters here. Thread-safe.
   int add_lane(int world);
 
+  /// Lanes of an already-begun world: its ranks plus any add_lane()d.
+  int lane_count(int world) const;
+
   /// The recorder for one (world, rank) lane. Thread-safe lookup; the
   /// returned recorder itself must only be used from its rank thread.
   recorder& rank_recorder(int world, int rank);

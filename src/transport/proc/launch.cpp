@@ -100,9 +100,12 @@ void absorb_lane(telemetry::recorder& rec, std::span<const std::byte> blob) {
 
 // ------------------------------------------------------------ pipe framing
 
-// status, error message, rank result, telemetry lane snapshot
-using child_report_t = std::tuple<std::uint8_t, std::string,
-                                  std::vector<std::byte>, std::vector<std::byte>>;
+// status, error message, rank result, telemetry lane snapshots (the rank's
+// lane, then every lane the child added to its world: its progress
+// engine's)
+using child_report_t =
+    std::tuple<std::uint8_t, std::string, std::vector<std::byte>,
+               std::vector<std::vector<std::byte>>>;
 
 void write_fully(int fd, const std::byte* p, std::size_t n) {
   while (n > 0) {
@@ -255,12 +258,15 @@ std::vector<std::vector<std::byte>> launch(
         }
       }  // rank.main span recorded; endpoint stats published to the lane
     }
-    std::vector<std::byte> tblob;
+    std::vector<std::vector<std::byte>> lanes;
     if (tsess != nullptr) {
-      tblob = snapshot_lane(tsess->rank_recorder(tworld, r));
+      lanes.push_back(snapshot_lane(tsess->rank_recorder(tworld, r)));
+      for (int l = nranks; l < tsess->lane_count(tworld); ++l) {
+        lanes.push_back(snapshot_lane(tsess->rank_recorder(tworld, l)));
+      }
     }
     const auto report = ser::to_bytes(
-        child_report_t{rank_status, errmsg, std::move(result), std::move(tblob)});
+        child_report_t{rank_status, errmsg, std::move(result), std::move(lanes)});
     write_fully(out_fd, report.data(), report.size());
     ::close(out_fd);
     std::fflush(nullptr);
@@ -348,10 +354,13 @@ std::vector<std::vector<std::byte>> launch(
       try {
         auto report = ser::from_bytes<child_report_t>(
             {blob.data(), blob.size()});
-        auto& [st, err, result, tblob] = report;
-        if (tsess != nullptr && !tblob.empty()) {
-          absorb_lane(tsess->rank_recorder(tworld, r),
-                      {tblob.data(), tblob.size()});
+        auto& [st, err, result, lanes] = report;
+        if (tsess != nullptr) {
+          for (std::size_t l = 0; l < lanes.size(); ++l) {
+            absorb_lane(tsess->rank_recorder(
+                            tworld, l == 0 ? r : tsess->add_lane(tworld)),
+                        {lanes[l].data(), lanes[l].size()});
+          }
         }
         if (st == 0) {
           results[static_cast<std::size_t>(r)] = std::move(result);

@@ -12,8 +12,8 @@
 // a report.
 //
 // Result channel: one pipe per rank. A child runs the rank body, then ships
-// a single framed blob — status, error text, the body's result bytes, and a
-// telemetry lane snapshot — and _exits without returning through the
+// a single framed blob — status, error text, the body's result bytes, and
+// its telemetry lane snapshots — and _exits without returning through the
 // parent's stack. The parent drains every pipe to EOF (before waiting, so a
 // child blocked on a full pipe cannot deadlock the join), reaps the
 // children, absorbs the telemetry lanes into the installed session, and
@@ -25,6 +25,8 @@
 // recorder, serializes the lane (names, metrics, retained ring events) into
 // its result blob, and the parent splices it into the original recorder —
 // name ids re-interned, counters summed, gauges maxed, histograms merged.
+// A lane the child added to its world (its progress engine's) ships after
+// the rank's lane and lands in a new lane of the same world in the parent.
 // The session epoch is a steady_clock point captured pre-fork, so child
 // timestamps land on the parent's timeline unadjusted.
 #pragma once

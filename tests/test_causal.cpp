@@ -255,6 +255,49 @@ void run_journey_trial(scheme_kind scheme) {
   }
 }
 
+// The rules check_journeys adds to the deliver count: one enqueue per leg,
+// one forward per relayed leg, and no deliver before the origin's enqueue.
+TEST(CausalJourneys, CheckRejectsLostHopsAndEarlyDelivers) {
+  using causal::hop_kind;
+  const auto hop = [](int rank, hop_kind k, std::uint32_t h, double ts) {
+    causal::hop_record r;
+    r.rank = rank;
+    r.id = 7;
+    r.kind = k;
+    r.hop = h;
+    r.ts_us = ts;
+    return r;
+  };
+  // Rank 0 -> relay 1 -> rank 3: two legs.
+  const std::vector<causal::hop_record> whole = {
+      hop(0, hop_kind::enqueue, 0, 10), hop(0, hop_kind::flush, 0, 10),
+      hop(1, hop_kind::forward, 1, 20), hop(1, hop_kind::enqueue, 1, 20),
+      hop(1, hop_kind::flush, 1, 20),   hop(3, hop_kind::deliver, 2, 30)};
+  const auto errors_of = [](std::vector<causal::hop_record> hops) {
+    return causal::check_journeys(causal::stitch(std::move(hops)));
+  };
+  const auto expect_error = [&](std::vector<causal::hop_record> hops,
+                                const std::string& what) {
+    const auto errors = errors_of(std::move(hops));
+    ASSERT_EQ(errors.size(), 1u) << what;
+    EXPECT_NE(errors[0].find(what), std::string::npos) << errors[0];
+  };
+  EXPECT_TRUE(errors_of(whole).empty());
+
+  auto no_relay_enqueue = whole;
+  no_relay_enqueue.erase(no_relay_enqueue.begin() + 3);
+  expect_error(no_relay_enqueue, "leg 1 has 0 enqueue hops");
+  auto no_forward = whole;
+  no_forward.erase(no_forward.begin() + 2);
+  expect_error(no_forward, "leg 1 has 0 forward hops");
+  auto twice_enqueued = whole;
+  twice_enqueued.push_back(hop(0, hop_kind::enqueue, 0, 11));
+  expect_error(twice_enqueued, "leg 0 has 2 enqueue hops");
+  auto early = whole;
+  early.back().ts_us = 0;
+  expect_error(early, "precedes the origin's enqueue");
+}
+
 TEST(CausalJourneys, CompleteAcrossAllSchemesMailbox) {
 #if defined(YGM_TELEMETRY_DISABLED)
   GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";

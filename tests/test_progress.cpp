@@ -405,21 +405,17 @@ TEST(ProgressEngine, TeardownWithTrafficInFlight) {
   });
 }
 
-// Revert guard: defer_delivery used to record a network-leg hop event for
-// the MPSC-ring push. Every engine-delivered sampled journey then reported
-// one more leg than the route has hops and `ygm_trace --selfcheck` failed.
-// The ring handoff is rank-internal — legs must match the wire path
-// exactly, engine or not.
-TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
-#if defined(YGM_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
-#endif
+/// Engine-mode journeys at sample rate 1.0 on `backend`: every sampled
+/// message must stitch complete, with exactly the legs its route has, and
+/// each process that hosts ranks adds one engine lane to the world.
+void check_engine_journeys(ygm::transport::backend_kind backend) {
   namespace tel = ygm::telemetry;
   namespace causal = ygm::telemetry::causal;
   tel::session session;
   tel::set_global(&session);
   ygm::run_options o;
   o.nranks = 4;
+  o.backend = backend;
   o.progress_mode = ygm::progress::mode::engine;
   o.trace_sample = 1.0;
   static constexpr int kMsgs = 20;
@@ -445,6 +441,8 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
   });
   tel::set_global(nullptr);
 
+  const int engines = backend == ygm::transport::backend_kind::inproc ? 1 : 4;
+  EXPECT_EQ(session.lane_count(session.world_count() - 1), 4 + engines);
   const auto journeys = causal::stitch(causal::extract_hops(session));
   EXPECT_EQ(journeys.size(), static_cast<std::size_t>(4 * 3 * kMsgs));
   const ygm::routing::router route(scheme_kind::nlnr, topo);
@@ -457,6 +455,32 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
   for (const auto& [key, j] : journeys) {
     EXPECT_TRUE(j.complete());
     EXPECT_LE(j.legs(), static_cast<std::size_t>(route.max_hops()));
+  }
+}
+
+// Revert guard: defer_delivery used to record a network-leg hop event for
+// the MPSC-ring push. Every engine-delivered sampled journey then reported
+// one more leg than the route has hops and `ygm_trace --selfcheck` failed.
+// The ring handoff is rank-internal — legs must match the wire path
+// exactly, engine or not.
+TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
+#endif
+  check_engine_journeys(ygm::transport::backend_kind::inproc);
+}
+
+// Revert guard: a forked rank's engine used to run without a telemetry
+// lane, so its forward and enqueue hops were dropped and the deliveries it
+// deferred were stamped at 0 us, before their journey began.
+TEST(ProgressEngine, ForkedEngineLaneKeepsJourneysWhole) {
+#if defined(YGM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "causal hop events compiled out with -DYGM_TELEMETRY=OFF";
+#endif
+  for (const auto backend : {ygm::transport::backend_kind::socket,
+                             ygm::transport::backend_kind::shm}) {
+    SCOPED_TRACE(std::string(ygm::transport::to_string(backend)));
+    check_engine_journeys(backend);
   }
 }
 

@@ -417,7 +417,7 @@ TEST_P(RecordBytes, CountsEveryHopOfAFixedStreamExactly) {
   EXPECT_EQ(m.counters().at("mailbox.credit_self_flushes"), self_flushes);
   // Every point-to-point hop of a sampled run carries its trace escape.
   // (trace.annotated_records is no per-hop count: in engine mode the
-  // handoff batches annotate too, and forked engine threads have no lane.)
+  // handoff batches annotate too.)
   if (sample == 1.0) {
     EXPECT_GT(m.counters().at("trace.annotated_records"), 0u);
     escapes = p2p_hops * ygm::core::packet_record_size(

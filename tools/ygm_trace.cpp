@@ -14,10 +14,14 @@
 //   ygm_trace --selfcheck --min-journeys 5 t.json
 //
 // --selfcheck is the CI smoke: every stitched journey must be complete
-// (exactly one deliver), leg counts must match the router's expectation,
-// and at least --min-journeys journeys must exist (a trace with zero
-// journeys passes the invariants vacuously — the floor catches a sampling
-// or piping regression).
+// (exactly one deliver, one enqueue per leg, one forward per relayed leg,
+// no deliver before the origin's enqueue), leg counts must match the
+// router's expectation, and at least --min-journeys journeys must exist (a
+// trace with zero journeys passes the invariants vacuously — the floor
+// catches a sampling or piping regression). A run long enough to overwrite
+// its rings loses hops, and the journeys that lost one report as broken,
+// so --selfcheck only suits short runs; without it they are listed and the
+// exit code stays 0.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
