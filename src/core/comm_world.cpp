@@ -1,7 +1,5 @@
 #include "core/comm_world.hpp"
 
-#include <cstdlib>
-
 #include "common/assert.hpp"
 #include "core/launch.hpp"
 #include "core/progress.hpp"
@@ -22,21 +20,6 @@ routing::topology derive_topology(const mpisim::comm& c, int cores_per_node) {
   return routing::topology(c.size() / cores_per_node, cores_per_node);
 }
 
-// run_options::credit_bytes > YGM_CREDIT_BYTES > 1 MiB (the launch.hpp
-// precedence contract); 0 disables credit gating.
-std::size_t resolve_credit_bytes() {
-  if (const auto& o = ygm::detail::launch_credit_bytes(); o.has_value()) {
-    return *o;
-  }
-  const char* v = std::getenv("YGM_CREDIT_BYTES");
-  if (v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != nullptr && *end == '\0') return static_cast<std::size_t>(n);
-  }
-  return std::size_t{1} << 20;  // 1 MiB
-}
-
 }  // namespace
 
 comm_world::comm_world(mpisim::comm& c, routing::topology topo,
@@ -48,10 +31,10 @@ comm_world::comm_world(mpisim::comm& c, routing::topology topo,
   // A timed launch (run_options::virtual_network) makes every world built
   // during the run timed, identically on all ranks — the same contract
   // attach_virtual_network places on callers.
-  if (const auto& np = ygm::detail::launch_virtual_network(); np.has_value()) {
-    vnet_ = np;
-  }
-  credit_bytes_ = resolve_credit_bytes();
+  const auto* run = ygm::detail::current_run();
+  YGM_CHECK(run != nullptr, "comm_world built outside ygm::launch");
+  credit_bytes_ = run->credit_bytes;
+  vnet_ = run->virtual_network;
   // The progress station exists in every mode (the ygm::progress facade
   // drives it from the rank thread in polling mode); it is handed to the
   // engine only when ygm::launch installed one in this process.

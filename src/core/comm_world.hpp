@@ -123,10 +123,10 @@ class comm_world {
   // ------------------------------------------------------- flow control
 
   /// Per-destination credit budget in bytes for mailboxes built on this
-  /// world (docs/BACKPRESSURE.md). Resolved at construction as
-  /// run_options::credit_bytes > YGM_CREDIT_BYTES > 1 MiB; 0 disables
-  /// credit gating. Override BEFORE building mailboxes (they snapshot it,
-  /// clamped to at least twice their flush capacity).
+  /// world (docs/BACKPRESSURE.md): run_options::credit_bytes, as the
+  /// running launch resolved it; 0 disables credit gating. Override BEFORE
+  /// building mailboxes (they snapshot it, clamped to at least twice their
+  /// flush capacity).
   std::size_t credit_bytes() const noexcept { return credit_bytes_; }
   void set_credit_bytes(std::size_t bytes) noexcept { credit_bytes_ = bytes; }
 

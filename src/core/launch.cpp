@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/env.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
@@ -20,45 +21,39 @@ namespace {
 
 using rank_results = std::vector<std::vector<std::byte>>;
 using rank_fn = std::function<std::vector<std::byte>(mpisim::comm&)>;
+using detail::resolved_run;
 
-// Launch-scoped process globals. Set on the driver thread before rank
-// threads spawn (inproc) or children fork (socket, shm) and restored after
-// the run — every backend therefore sees a stable value for the whole run
-// without synchronization.
-std::optional<net::network_params> g_launch_vnet;
-std::optional<std::size_t> g_launch_credit_bytes;
+/// Every run knob, resolved once at launch entry as launch.hpp's table
+/// says: explicit run_options field > YGM_* variable > default.
+resolved_run resolve(const run_options& o) {
+  YGM_CHECK(!o.trace_sample ||
+                (*o.trace_sample >= 0.0 && *o.trace_sample <= 1.0),
+            "run_options::trace_sample must be in [0, 1]");
+  const progress::mode mode =
+      o.progress_mode ? *o.progress_mode : progress::mode_from_env();
+  return {
+      .backend = o.backend ? *o.backend : transport::backend_from_env(),
+      .chaos = o.chaos ? o.chaos : mpisim::chaos_config::from_env(),
+      .engine = mode == progress::mode::engine,
+      .credit_bytes =
+          o.credit_bytes
+              ? *o.credit_bytes
+              : env::bytes("YGM_CREDIT_BYTES").value_or(std::size_t{1} << 20),
+      .outq_cap_bytes =
+          o.outq_cap_bytes
+              ? *o.outq_cap_bytes
+              : env::bytes("YGM_OUTQ_CAP_BYTES").value_or(std::size_t{4} << 20),
+      .sample_ms = o.sample_ms >= 0
+                       ? o.sample_ms
+                       : env::millis("YGM_SAMPLE_MS").value_or(100),
+      .statusz = o.statusz >= 0 ? o.statusz != 0
+                                : env::flag("YGM_STATUSZ").value_or(false),
+      .virtual_network = o.virtual_network,
+  };
+}
 
-struct scoped_run_defaults {
-  explicit scoped_run_defaults(const run_options& opts)
-      : prev_sample_(telemetry::causal::sample_rate()),
-        prev_outq_cap_(transport::outq_cap_bytes()),
-        prev_sample_ms_(telemetry::live::sample_ms_override()),
-        prev_statusz_(telemetry::live::statusz_override()) {
-    if (opts.virtual_network) g_launch_vnet = *opts.virtual_network;
-    if (opts.trace_sample) {
-      YGM_CHECK(*opts.trace_sample >= 0.0 && *opts.trace_sample <= 1.0,
-                "run_options::trace_sample must be in [0, 1]");
-      telemetry::causal::set_sample_rate(*opts.trace_sample);
-    }
-    if (opts.credit_bytes) g_launch_credit_bytes = *opts.credit_bytes;
-    if (opts.outq_cap_bytes) transport::set_outq_cap_bytes(*opts.outq_cap_bytes);
-    if (opts.sample_ms >= 0) telemetry::live::set_sample_ms_override(opts.sample_ms);
-    if (opts.statusz >= 0) telemetry::live::set_statusz_override(opts.statusz);
-  }
-  ~scoped_run_defaults() {
-    g_launch_vnet.reset();
-    g_launch_credit_bytes.reset();
-    telemetry::causal::set_sample_rate(prev_sample_);
-    transport::set_outq_cap_bytes(prev_outq_cap_);
-    telemetry::live::set_sample_ms_override(prev_sample_ms_);
-    telemetry::live::set_statusz_override(prev_statusz_);
-  }
-
-  double prev_sample_;
-  std::size_t prev_outq_cap_;
-  int prev_sample_ms_;
-  int prev_statusz_;
-};
+// The running launch's record (nullptr outside a launch).
+const resolved_run* g_run = nullptr;
 
 /// The per-process services of one run, held while the process's rank
 /// bodies execute. The progress engine (engine mode only) comes up first so
@@ -67,9 +62,9 @@ struct scoped_run_defaults {
 /// driver does.
 class host_services {
  public:
-  host_services(bool engine, int telemetry_world) {
-    if (engine) engine_.emplace(telemetry_world);
-    live_ = telemetry::live::make_process_services();
+  host_services(const resolved_run& run, int telemetry_world) {
+    if (run.engine) engine_.emplace(telemetry_world);
+    live_ = telemetry::live::make_process_services(run.sample_ms, run.statusz);
   }
 
  private:
@@ -83,11 +78,10 @@ std::shared_ptr<const std::vector<int>> world_members(int nranks) {
   return std::make_shared<const std::vector<int>>(std::move(m));
 }
 
-rank_results run_inproc(
-    int nranks, const std::optional<mpisim::chaos_config>& chaos,
-    bool engine, const rank_fn& fn) {
-  transport::inproc::fabric fab(nranks);
-  if (chaos && chaos->enabled()) fab.set_chaos(*chaos);
+rank_results run_inproc(int nranks, const resolved_run& run,
+                        const rank_fn& fn) {
+  transport::inproc::fabric fab(nranks, run.outq_cap_bytes);
+  if (run.chaos && run.chaos->enabled()) fab.set_chaos(*run.chaos);
 
   // With a telemetry session installed, every rank thread records onto its
   // own (world, rank) lane; the top-level "rank.main" span covers the whole
@@ -103,7 +97,7 @@ rank_results run_inproc(
   {
     // Services stop before the error is rethrown: a progress engine must
     // not outlive the fabric the rank endpoints lived on.
-    host_services services(engine, tworld);
+    host_services services(run, tworld);
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
@@ -140,15 +134,13 @@ rank_results run_inproc(
 /// thread would not survive the fork from the parent). The child's engine
 /// records onto a lane it adds to the rank's telemetry world, which ships
 /// back to the parent with the rank's lane.
-rank_results run_forked(
-    transport::backend_kind backend, const run_options& opts,
-    const std::optional<mpisim::chaos_config>& chaos, bool engine,
-    const rank_fn& fn) {
+rank_results run_forked(const run_options& opts, const resolved_run& run,
+                        const rank_fn& fn) {
   return transport::proc::launch(
-      backend, opts.nranks, chaos, opts.socket_dir,
-      [&](transport::endpoint& ep) {
+      run.backend, opts.nranks, run.chaos, run.outq_cap_bytes,
+      opts.socket_dir, [&](transport::endpoint& ep) {
         const telemetry::recorder* lane = telemetry::tls();
-        host_services services(engine, lane != nullptr ? lane->world() : -1);
+        host_services services(run, lane != nullptr ? lane->world() : -1);
         mpisim::comm c(ep, world_members(ep.world_size()), ep.world_rank(),
                        transport::world_context, transport::world_context + 1);
         return fn(c);
@@ -166,34 +158,29 @@ void launch(const run_options& opts,
 }
 
 rank_results launch_collect(const run_options& opts, const rank_fn& fn) {
-  scoped_run_defaults defaults(opts);
   YGM_CHECK(opts.nranks > 0, "launch() requires a positive rank count");
-
-  const transport::backend_kind backend =
-      opts.backend ? *opts.backend : transport::backend_from_env();
-  // Environment-driven chaos lets the whole suite be rerun under fault
-  // injection without touching a call site; an explicit config wins.
-  const std::optional<mpisim::chaos_config> chaos =
-      opts.chaos ? opts.chaos : mpisim::chaos_config::from_env();
-  const progress::mode pmode =
-      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
-  const bool engine = pmode == progress::mode::engine;
-
-  if (backend == transport::backend_kind::inproc) {
-    return run_inproc(opts.nranks, chaos, engine, fn);
+  const resolved_run run = resolve(opts);
+  // The record and the causal trace rate are set on the driver thread before
+  // rank threads spawn (inproc) or children fork (socket, shm) and restored
+  // after the run, so every backend reads them without synchronization.
+  struct restore {
+    const resolved_run* record;
+    double sample_rate;
+    ~restore() {
+      g_run = record;
+      telemetry::causal::set_sample_rate(sample_rate);
+    }
+  } prev{std::exchange(g_run, &run), telemetry::causal::sample_rate()};
+  if (opts.trace_sample) telemetry::causal::set_sample_rate(*opts.trace_sample);
+  if (run.backend == transport::backend_kind::inproc) {
+    return run_inproc(opts.nranks, run, fn);
   }
-  return run_forked(backend, opts, chaos, engine, fn);
+  return run_forked(opts, run, fn);
 }
 
 namespace detail {
 
-const std::optional<net::network_params>& launch_virtual_network() noexcept {
-  return g_launch_vnet;
-}
-
-const std::optional<std::size_t>& launch_credit_bytes() noexcept {
-  return g_launch_credit_bytes;
-}
+const resolved_run* current_run() noexcept { return g_run; }
 
 }  // namespace detail
 }  // namespace ygm

@@ -6,25 +6,42 @@
 //               [](ygm::mpisim::comm& c) { ... });
 //
 // Configuration precedence — THE one place it is defined (the docs point
-// here):
+// here). launch() resolves every field once, at entry, and hands each value
+// to the code that uses it:
 //
 //   explicit run_options field  >  YGM_* environment variable  >  default
 //
-//   field            env                 default
-//   ---------------  ------------------  -----------------------------
-//   backend          YGM_TRANSPORT       inproc
-//   chaos            YGM_CHAOS*          off
-//   progress_mode    YGM_PROGRESS        polling
-//   trace_sample     YGM_TRACE_SAMPLE    0 (tracing off)
-//   virtual_network  (none)              untimed
-//   credit_bytes     YGM_CREDIT_BYTES    1 MiB per destination (0 = off)
-//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per peer (0 = off;
-//                                        socket and inproc only)
-//   sample_ms        YGM_SAMPLE_MS       100 ms live sampler (0 = off)
-//   statusz          YGM_STATUSZ         off (per-process UDS endpoint)
+//   field            env                 syntax             default
+//   ---------------  ------------------  -----------------  ---------------
+//   backend          YGM_TRANSPORT       inproc|socket|shm  inproc
+//   chaos            YGM_CHAOS           light|heavy[:N]    off
+//                    YGM_CHAOS_*         number (1)
+//   progress_mode    YGM_PROGRESS        polling|engine     polling
+//   trace_sample     YGM_TRACE_SAMPLE    number (2)         0 (tracing off)
+//   virtual_network  (none)                                 untimed
+//   credit_bytes     YGM_CREDIT_BYTES    decimal bytes      1 MiB (3)
+//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  decimal bytes      4 MiB (3)
+//   sample_ms        YGM_SAMPLE_MS       integer ms >= 0    100 ms (3)
+//   statusz          YGM_STATUSZ         0|1                off
 //
-// (YGM_STALL_TIMEOUT_MS keeps its env-only path — it is a debugging
-// deadman, not a run parameter.)
+//   (1) YGM_CHAOS_SEED, _MAX_DELAY_TICKS and _MAX_STALL_US take an
+//       unsigned integer (decimal, 0x-hex or 0-octal), as does the
+//       preset's seed N; YGM_CHAOS_DELAY_PROB, _IPROBE_MISS_PROB and
+//       _STALL_PROB take a number. They are read only when YGM_CHAOS is
+//       not set.
+//   (2) Read leniently, once, at static initialisation
+//       (telemetry/causal.cpp), where a throw would need a design of its
+//       own, and clamped to [0, 1]. YGM_STALL_TIMEOUT_MS and
+//       YGM_POSTMORTEM_OUT keep that start-up path too; they configure the
+//       stall watchdog, not a run.
+//   (3) 0 turns it off. credit_bytes is per destination mailbox;
+//       outq_cap_bytes is per peer, on socket and inproc only; sample_ms is
+//       the live sampler's period. statusz is a per-process UDS endpoint.
+//
+// An unset or empty variable is not set. Any other value must parse as a
+// whole in its syntax (common/env.hpp): a malformed one, such as
+// YGM_CHAOS=hevy:7 or YGM_SAMPLE_MS=1OO, fails the launch with a ygm::error
+// naming the variable and its text.
 //
 // Backends (src/transport/): `inproc` runs the ranks as threads of this
 // process; `socket` and `shm` fork one OS process per rank
@@ -135,17 +152,26 @@ std::vector<std::vector<std::byte>> launch_collect(
 
 namespace detail {
 
-/// The launch-scoped default virtual network (nullopt outside a launch with
-/// run_options::virtual_network set). comm_world's constructor consults
-/// this so every world built during a timed launch is timed. Set before
-/// rank threads spawn / children fork; read-only during the run.
-const std::optional<net::network_params>& launch_virtual_network() noexcept;
+/// Every run_options field as launch() resolved it at entry, by the table
+/// above: the one launch-scoped record. launch() hands its values to the
+/// code that uses them; comm_world's constructor reads credit_bytes and
+/// virtual_network from it, so every world built during a timed launch is
+/// timed.
+struct resolved_run {
+  transport::backend_kind backend;
+  std::optional<mpisim::chaos_config> chaos;
+  bool engine;
+  std::size_t credit_bytes;
+  std::size_t outq_cap_bytes;
+  int sample_ms;
+  bool statusz;
+  std::optional<net::network_params> virtual_network;
+};
 
-/// The launch-scoped credit-budget override (nullopt outside a launch with
-/// run_options::credit_bytes set). comm_world's constructor consults this,
-/// then YGM_CREDIT_BYTES, then the 1 MiB default. Same set-before-spawn /
-/// fork-inheritance discipline as launch_virtual_network.
-const std::optional<std::size_t>& launch_credit_bytes() noexcept;
+/// The running launch's record; nullptr outside a launch. Set before rank
+/// threads spawn or children fork and restored after the run, so it is
+/// read-only while ranks run.
+const resolved_run* current_run() noexcept;
 
 }  // namespace detail
 }  // namespace ygm

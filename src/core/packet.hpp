@@ -14,12 +14,12 @@
 //   len bytes      serialized message payload
 //
 // Trace annotations: causal tracing (telemetry/causal.hpp) piggybacks a
-// 16-byte trace context on sampled messages as an ordinary record addressed
-// to the reserved rank `packet_trace_escape`, placed immediately before the
-// message record it annotates. Readers that predate (or disable) tracing
-// skip it as an undeliverable record; with tracing compiled out no escape
-// record is ever appended, so unsampled packets are byte-identical to the
-// pre-tracing format.
+// trace context of causal::wire_ctx_bytes (24) bytes on sampled messages as
+// an ordinary record addressed to the reserved rank `packet_trace_escape`,
+// placed immediately before the message record it annotates. Readers that
+// predate (or disable) tracing skip it as an undeliverable record; with
+// tracing compiled out no escape record is ever appended, so unsampled
+// packets are byte-identical to the pre-tracing format.
 #pragma once
 
 #include <algorithm>

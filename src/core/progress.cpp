@@ -1,8 +1,8 @@
 #include "core/progress.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
+#include "common/env.hpp"
 #include "core/comm_world.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
@@ -29,12 +29,8 @@ std::optional<mode> mode_from_name(std::string_view name) noexcept {
 }
 
 mode mode_from_env() {
-  const char* env = std::getenv("YGM_PROGRESS");
-  if (env == nullptr || *env == '\0') return mode::polling;
-  const auto m = mode_from_name(env);
-  YGM_CHECK(m.has_value(), std::string("unknown YGM_PROGRESS mode: ") + env +
-                               " (expected polling|engine)");
-  return *m;
+  return env::read("YGM_PROGRESS", "polling | engine", mode_from_name)
+      .value_or(mode::polling);
 }
 
 // ---------------------------------------------------------------- station

@@ -51,10 +51,8 @@
 // visibility delays, iprobe false negatives, and stalls hit engine-stolen
 // progress exactly as they hit polled progress.
 //
-// Configuration precedence (documented once, here and in docs/PROGRESS.md):
-// explicit ygm::run_options field > YGM_* environment variable > default.
-// For the progress mode that is run_options::progress_mode > YGM_PROGRESS >
-// polling.
+// The progress mode is run_options::progress_mode, resolved with every other
+// run knob by the table in core/launch.hpp (default polling).
 #pragma once
 
 #include <atomic>

@@ -3,14 +3,14 @@
 // model, using the network performance model in params.hpp.
 //
 // Why this exists: the paper's experiments run on up to 1024 nodes × 36
-// cores of LLNL Quartz. This build environment is one CPU core, so executed
-// runs top out around 64 rank-threads. The evaluator reproduces the paper's
-// figures at full scale by computing, exactly, the quantity the routing
-// schemes control — how many distinct remote partners each core has and
-// therefore how large its coalesced packets can be for a fixed mailbox
-// capacity — and pricing the resulting transfers on the Fig. 5 bandwidth
-// curve. Executed runs at small scale cross-validate the model (see
-// EXPERIMENTS.md).
+// cores of LLNL Quartz. A development host has a few cores (the docs
+// measure on one with 4), so executed runs top out around 64 rank-threads.
+// The evaluator reproduces the paper's figures at full scale by computing,
+// exactly, the quantity the routing schemes control — how many distinct
+// remote partners each core has and therefore how large its coalesced
+// packets can be for a fixed mailbox capacity — and pricing the resulting
+// transfers on the Fig. 5 bandwidth curve. Executed runs at small scale
+// cross-validate the model (see EXPERIMENTS.md).
 //
 // Method: routes are enumerated with the *actual* router (the same
 // next_hop/bcast_next_hops logic the mailbox executes), from a

@@ -1,6 +1,5 @@
 #include "telemetry/live.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 
@@ -143,58 +142,12 @@ bool engine_driver_active() noexcept {
   return g_engine_driver.load(std::memory_order_acquire);
 }
 
-// ------------------------------------------------------------------- knobs
+// ------------------------------------------------------------ statusz dir
 
 namespace {
-
-std::atomic<int> g_sample_override{-1};
-std::atomic<int> g_statusz_override{-1};
-
 std::mutex g_dir_mtx;
 std::string g_statusz_dir_hint;
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 }  // namespace
-
-int resolved_sample_ms() {
-  const int ov = g_sample_override.load(std::memory_order_acquire);
-  if (ov >= 0) return ov;
-  return std::max(0, env_int("YGM_SAMPLE_MS", 100));
-}
-
-void set_sample_ms_override(int ms) {
-  g_sample_override.store(ms < 0 ? -1 : ms, std::memory_order_release);
-}
-
-int sample_ms_override() noexcept {
-  return g_sample_override.load(std::memory_order_acquire);
-}
-
-bool resolved_statusz() {
-  const int ov = g_statusz_override.load(std::memory_order_acquire);
-  if (ov >= 0) return ov != 0;
-  return env_truthy("YGM_STATUSZ");
-}
-
-void set_statusz_override(int v) {
-  g_statusz_override.store(v < 0 ? -1 : (v != 0 ? 1 : 0),
-                           std::memory_order_release);
-}
-
-int statusz_override() noexcept {
-  return g_statusz_override.load(std::memory_order_acquire);
-}
 
 std::string statusz_dir() {
   if (const char* v = std::getenv("YGM_STATUSZ_DIR");
@@ -218,13 +171,13 @@ void set_statusz_dir_hint(const std::string& dir) {
 
 // --------------------------------------------------------- process services
 
-std::shared_ptr<void> make_process_services() {
+std::shared_ptr<void> make_process_services(int sample_ms, bool statusz) {
 #if defined(YGM_TELEMETRY_DISABLED)
+  (void)sample_ms;
+  (void)statusz;
   return nullptr;
 #else
-  const int period_ms = resolved_sample_ms();
-  const bool serve = resolved_statusz();
-  if (period_ms <= 0 && !serve) return nullptr;
+  if (sample_ms <= 0 && !statusz) return nullptr;
   struct bundle {
     // Declaration order matters: the statusz server (declared second) is
     // destroyed first, so a request can never observe a dead sampler.
@@ -232,13 +185,13 @@ std::shared_ptr<void> make_process_services() {
     std::unique_ptr<statusz_server> srv;
   };
   auto b = std::make_shared<bundle>();
-  if (period_ms > 0) {
+  if (sample_ms > 0) {
     sampler::config cfg;
-    cfg.period_ms = period_ms;
+    cfg.period_ms = sample_ms;
     cfg.own_thread = !engine_driver_active();
     b->smp = std::make_unique<sampler>(cfg);
   }
-  if (serve) {
+  if (statusz) {
     statusz_server::config cfg;
     cfg.dir = statusz_dir();
     b->srv = std::make_unique<statusz_server>(cfg);

@@ -283,23 +283,7 @@ bool engine_driver_active() noexcept;
 /// the tick is not due; safe from any thread. Defined in sampler.cpp.
 void sampler_poll() noexcept;
 
-// ------------------------------------------------------------------- knobs
-//
-// Precedence (the core/launch.hpp convention): explicit run_options field >
-// YGM_* environment variable > default. The overrides are what
-// scoped_run_defaults sets from run_options.
-
-/// Sampling period: override >= 0 wins, else YGM_SAMPLE_MS, else 100.
-/// 0 disables the sampler.
-int resolved_sample_ms();
-void set_sample_ms_override(int ms);  // -1 clears
-int sample_ms_override() noexcept;
-
-/// statusz endpoint: override >= 0 wins (0 off / 1 on), else YGM_STATUSZ
-/// (truthy = on), else off.
-bool resolved_statusz();
-void set_statusz_override(int v);  // -1 clears
-int statusz_override() noexcept;
+// ------------------------------------------------------------ statusz dir
 
 /// Directory statusz sockets are created in: YGM_STATUSZ_DIR > the socket
 /// backend's rendezvous-dir hint (set_statusz_dir_hint, called in each
@@ -309,11 +293,12 @@ void set_statusz_dir_hint(const std::string& dir);
 
 // --------------------------------------------------------- process services
 
-/// Start the per-process live services the resolved knobs call for: a
-/// sampler when resolved_sample_ms() > 0 (engine-driven when an engine
-/// registered as driver, dedicated thread otherwise) and a statusz server
-/// when resolved_statusz(). Returns nullptr when nothing is enabled or
-/// telemetry is compiled out; destroying the handle stops both services.
-std::shared_ptr<void> make_process_services();
+/// Start the per-process live services of one run (run_options::sample_ms
+/// and ::statusz as ygm::launch resolved them): a sampler ticking every
+/// `sample_ms` when it is > 0 (engine-driven when an engine registered as
+/// driver, dedicated thread otherwise) and a statusz server when `statusz`.
+/// Returns nullptr when nothing is enabled or telemetry is compiled out;
+/// destroying the handle stops both services.
+std::shared_ptr<void> make_process_services(int sample_ms, bool statusz);
 
 }  // namespace ygm::telemetry::live

@@ -1,8 +1,15 @@
 #include "transport/chaos.hpp"
 
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
+
+#include "common/env.hpp"
 
 namespace ygm::transport {
 
@@ -30,53 +37,53 @@ chaos_config chaos_config::heavy(std::uint64_t seed) {
   return c;
 }
 
-namespace {
-
-bool read_env_u64(const char* name, std::uint64_t& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  out = std::strtoull(v, nullptr, 0);
-  return true;
-}
-
-bool read_env_double(const char* name, double& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  out = std::strtod(v, nullptr);
-  return true;
-}
-
-}  // namespace
-
 std::optional<chaos_config> chaos_config::from_env() {
-  if (const char* preset = std::getenv("YGM_CHAOS");
-      preset != nullptr && *preset != '\0') {
-    const std::string s(preset);
-    const auto colon = s.find(':');
-    const std::string name = s.substr(0, colon);
-    const std::uint64_t seed =
-        colon == std::string::npos
-            ? 0
-            : std::strtoull(s.c_str() + colon + 1, nullptr, 0);
-    if (name == "heavy") return heavy(seed);
-    if (name == "light") return light(seed);
-    return std::nullopt;  // unknown preset name: treat as unset
+  if (auto preset = env::read(
+          "YGM_CHAOS", "light or heavy, with an optional :SEED",
+          [](const std::string& s) -> std::optional<chaos_config> {
+            const auto colon = s.find(':');
+            const std::string name = s.substr(0, colon);
+            const auto seed = colon == std::string::npos
+                                  ? std::optional<std::uint64_t>(0)
+                                  : env::to_unsigned(s.substr(colon + 1), 0);
+            if (seed && name == "heavy") return heavy(*seed);
+            if (seed && name == "light") return light(*seed);
+            return std::nullopt;
+          })) {
+    return preset;
   }
 
   chaos_config c;
-  bool any = read_env_u64("YGM_CHAOS_SEED", c.seed);
-  any |= read_env_double("YGM_CHAOS_DELAY_PROB", c.delay_prob);
-  std::uint64_t u = 0;
-  if (read_env_u64("YGM_CHAOS_MAX_DELAY_TICKS", u)) {
-    c.max_delay_ticks = static_cast<std::uint32_t>(u);
-    any = true;
-  }
-  any |= read_env_double("YGM_CHAOS_IPROBE_MISS_PROB", c.iprobe_miss_prob);
-  any |= read_env_double("YGM_CHAOS_STALL_PROB", c.stall_prob);
-  if (read_env_u64("YGM_CHAOS_MAX_STALL_US", u)) {
-    c.max_stall_us = static_cast<std::uint32_t>(u);
-    any = true;
-  }
+  bool any = false;
+  const auto integer = [&any](const char* name, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if (const auto n =
+            env::read(name, "an unsigned integer", [](const std::string& s) {
+              return env::to_unsigned(s, 0, std::numeric_limits<T>::max());
+            })) {
+      field = static_cast<T>(*n);
+      any = true;
+    }
+  };
+  const auto number = [&any](const char* name, double& field) {
+    if (const auto d = env::read(name, "a number", [](const std::string& s) {
+          char* end = nullptr;
+          const double v = std::strtod(s.c_str(), &end);
+          const bool whole =
+              *end == '\0' && std::isfinite(v) &&
+              std::isspace(static_cast<unsigned char>(s[0])) == 0;
+          return whole ? std::optional<double>(v) : std::nullopt;
+        })) {
+      field = *d;
+      any = true;
+    }
+  };
+  integer("YGM_CHAOS_SEED", c.seed);
+  number("YGM_CHAOS_DELAY_PROB", c.delay_prob);
+  integer("YGM_CHAOS_MAX_DELAY_TICKS", c.max_delay_ticks);
+  number("YGM_CHAOS_IPROBE_MISS_PROB", c.iprobe_miss_prob);
+  number("YGM_CHAOS_STALL_PROB", c.stall_prob);
+  integer("YGM_CHAOS_MAX_STALL_US", c.max_stall_us);
   if (!any) return std::nullopt;
   return c;
 }

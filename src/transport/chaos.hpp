@@ -85,11 +85,12 @@ struct chaos_config {
   static chaos_config heavy(std::uint64_t seed);
 
   /// Build a config from YGM_CHAOS environment variables (see docs/CHAOS.md):
-  ///   YGM_CHAOS=light:SEED | heavy:SEED        preset shorthand
+  ///   YGM_CHAOS=light[:SEED] | heavy[:SEED]    preset shorthand
   ///   YGM_CHAOS_SEED, YGM_CHAOS_DELAY_PROB, YGM_CHAOS_MAX_DELAY_TICKS,
   ///   YGM_CHAOS_IPROBE_MISS_PROB, YGM_CHAOS_STALL_PROB,
   ///   YGM_CHAOS_MAX_STALL_US                    individual knobs
-  /// Returns nullopt when no YGM_CHAOS* variable is set.
+  /// Returns nullopt when no YGM_CHAOS* variable is set; throws ygm::error
+  /// naming the variable when one is malformed (an unknown preset too).
   static std::optional<chaos_config> from_env();
 
   /// One-line reproduction recipe ("seed=12 delay=0.5x16 miss=0.3/32

@@ -3,11 +3,10 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "common/assert.hpp"
+#include "common/env.hpp"
 #include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
 #include "telemetry/telemetry.hpp"
 
@@ -33,42 +32,17 @@ std::optional<backend_kind> backend_from_name(std::string_view name) noexcept {
 }
 
 backend_kind backend_from_env() {
-  const char* v = std::getenv("YGM_TRANSPORT");
-  if (v == nullptr || *v == '\0') return backend_kind::inproc;
-  const auto k = backend_from_name(v);
-  YGM_CHECK(k.has_value(), std::string("unknown YGM_TRANSPORT backend '") +
-                               v + "' (expected inproc | socket | shm)");
-  return *k;
+  return env::read("YGM_TRANSPORT", "inproc | socket | shm", backend_from_name)
+      .value_or(backend_kind::inproc);
 }
 
 namespace {
-
-std::size_t outq_cap_from_env() {
-  const char* v = std::getenv("YGM_OUTQ_CAP_BYTES");
-  if (v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != nullptr && *end == '\0') return static_cast<std::size_t>(n);
-  }
-  return std::size_t{4} << 20;  // 4 MiB
-}
-
-// Process-wide so forked socket children inherit the launch override.
-std::atomic<std::size_t> g_outq_cap{outq_cap_from_env()};
 
 // The pid of the process that forked this one's rank (0: none). Forked
 // ranks inherit it.
 pid_t g_launcher = 0;
 
 }  // namespace
-
-std::size_t outq_cap_bytes() noexcept {
-  return g_outq_cap.load(std::memory_order_relaxed);
-}
-
-void set_outq_cap_bytes(std::size_t cap) noexcept {
-  g_outq_cap.store(cap, std::memory_order_relaxed);
-}
 
 double monotonic_seconds() noexcept {
   timespec ts{};

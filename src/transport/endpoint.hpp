@@ -9,17 +9,16 @@
 //   * send()        how bytes leave. Eager but *bounded*: the payload is
 //                   framed and either delivered (inproc) or queued toward
 //                   the peer. Each backend bounds its outbound bytes: the
-//                   socket backend at outq_cap_bytes() (YGM_OUTQ_CAP_BYTES,
-//                   0 disables) blocks acceptance until the peer drains,
-//                   and the shm backend blocks the same way when the
-//                   pair's fixed ring is full (both pump their own receive
-//                   side meanwhile, so two mutually-flooding ranks cannot
-//                   deadlock); the inproc backend applies a bounded wait
-//                   on the destination slot's queued bytes at the cap. The
-//                   payload vector is taken by value and recycled through
-//                   core::buffer_pool when the bytes are off this rank's
-//                   hands, so the zero-copy packet discipline survives the
-//                   seam.
+//                   socket backend at outq_cap() (0 disables) blocks
+//                   acceptance until the peer drains, and the shm backend
+//                   blocks the same way when the pair's fixed ring is full
+//                   (both pump their own receive side meanwhile, so two
+//                   mutually-flooding ranks cannot deadlock); the inproc
+//                   backend applies a bounded wait on the destination
+//                   slot's queued bytes at the cap. The payload vector is
+//                   taken by value and recycled through core::buffer_pool
+//                   when the bytes are off this rank's hands, so the
+//                   zero-copy packet discipline survives the seam.
 //   * pump()        how arrived bytes reach the slot, without blocking.
 //   * wait()        how the backend sleeps a *bounded* interval for more,
 //                   after a blocking receive or probe failed to match. Every
@@ -43,8 +42,7 @@
 // transport/socket/ (one process per rank over Unix-domain sockets), and
 // transport/shm/ (one process per rank over shared-memory SPSC rings).
 // Selection is a runtime choice: ygm::launch takes a backend field
-// (run_options::backend) and defaults to the YGM_TRANSPORT environment
-// variable.
+// (run_options::backend) and resolves it as core/launch.hpp's table says.
 #pragma once
 
 #include <atomic>
@@ -79,18 +77,6 @@ std::optional<backend_kind> backend_from_name(std::string_view name) noexcept;
 /// variable is unset or empty. Throws ygm::error on an unknown name (a typo
 /// silently falling back to inproc would fake multi-process coverage).
 backend_kind backend_from_env();
-
-/// Per-peer outbound byte cap of the socket and inproc backends, the
-/// transport-layer floor under the mailbox credit budget
-/// (docs/BACKPRESSURE.md); shm is bounded by its rings instead.
-/// Resolution: launch override (run_options::outq_cap_bytes via
-/// set_outq_cap_bytes) > YGM_OUTQ_CAP_BYTES > 4 MiB default; 0 disables
-/// the cap and restores the historical unbounded-queue behaviour.
-std::size_t outq_cap_bytes() noexcept;
-
-/// Override the cap process-wide (launch plumbing; set before worlds come
-/// up so forked socket children inherit it).
-void set_outq_cap_bytes(std::size_t cap) noexcept;
 
 /// Per-endpoint transport counters, published into the owning rank's
 /// telemetry lane at endpoint teardown under "transport.<backend>.*" (plus
@@ -186,6 +172,13 @@ class endpoint {
   /// Seconds since this world's transport came up (MPI_Wtime deltas).
   double wtime() const { return monotonic_seconds() - epoch_; }
 
+  /// Per-peer outbound byte cap of the socket and inproc backends, the
+  /// transport-layer floor under the mailbox credit budget
+  /// (docs/BACKPRESSURE.md): run_options::outq_cap_bytes as ygm::launch
+  /// resolved it. 0 means no cap, and shm, bounded by its rings instead,
+  /// always reads 0.
+  std::size_t outq_cap() const noexcept { return outq_cap_; }
+
   /// Frame-and-send toward a world rank, with stats. dest == world_rank()
   /// is valid and loops back into this rank's own slot.
   void post(int dest, envelope&& e);
@@ -231,8 +224,13 @@ class endpoint {
  protected:
   /// `slot` is this rank's receive slot; it must outlive the endpoint's
   /// use of it (a backend may pass a member it owns).
-  endpoint(backend_kind kind, int rank, int nranks, mail_slot& slot)
-      : rank_(rank), nranks_(nranks), slot_(&slot), kind_(kind) {}
+  endpoint(backend_kind kind, int rank, int nranks, mail_slot& slot,
+           std::size_t outq_cap = 0)
+      : rank_(rank),
+        nranks_(nranks),
+        outq_cap_(outq_cap),
+        slot_(&slot),
+        kind_(kind) {}
 
   /// The lock a pump takes on a backend's I/O state: the rank blocks for
   /// it; the engine only tries, so it never stalls the rank mid-operation.
@@ -256,6 +254,7 @@ class endpoint {
 
   const int rank_;
   const int nranks_;
+  const std::size_t outq_cap_;
   mail_slot* const slot_;
   /// monotonic_seconds() at which wtime() reads zero. Backends restart it
   /// once their world is up.

@@ -8,7 +8,7 @@
 
 namespace ygm::transport::inproc {
 
-fabric::fabric(int nranks) {
+fabric::fabric(int nranks, std::size_t outq_cap) : outq_cap_(outq_cap) {
   YGM_CHECK(nranks > 0, "fabric size must be positive");
   slots_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
@@ -36,7 +36,8 @@ void fabric::abort_all() {
 }
 
 endpoint::endpoint(fabric& f, int rank)
-    : transport::endpoint(backend_kind::inproc, rank, f.size(), f.slot(rank)),
+    : transport::endpoint(backend_kind::inproc, rank, f.size(), f.slot(rank),
+                          f.outq_cap()),
       fabric_(&f) {
   epoch_ = f.epoch();
 }
@@ -50,20 +51,20 @@ endpoint::~endpoint() {
 
 void endpoint::send(int dest, envelope&& e) {
   mail_slot& dst = fabric_->slot(dest);
-  const std::size_t cap = transport::outq_cap_bytes();
   // Self-delivery never waits: the only thread that could drain this slot
   // is the one posting.
-  if (cap != 0 && dest != rank_ &&
-      dst.queued_bytes() + e.payload.size() > cap && !fabric_->aborted()) {
+  if (outq_cap_ != 0 && dest != rank_ &&
+      dst.queued_bytes() + e.payload.size() > outq_cap_ &&
+      !fabric_->aborted()) {
     ++outq_stalls_;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    while (dst.queued_bytes() + e.payload.size() > cap &&
+    while (dst.queued_bytes() + e.payload.size() > outq_cap_ &&
            !fabric_->aborted() &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
-    if (dst.queued_bytes() + e.payload.size() > cap) ++outq_overflows_;
+    if (dst.queued_bytes() + e.payload.size() > outq_cap_) ++outq_overflows_;
   }
   const std::size_t depth = dst.queued_bytes() + e.payload.size();
   if (depth > outq_peak_bytes_) outq_peak_bytes_ = depth;

@@ -4,14 +4,15 @@
 // preserved.
 //
 // A `fabric` is the process-wide shared state of one run: the per-rank mail
-// slots, the chaos config, the clock epoch, and abort propagation (what
-// `mpisim::world` used to be). Each rank thread then holds one
-// `inproc::endpoint`, which sends by locking the destination slot directly —
-// no wire, no framing cost, which is exactly why this backend remains the
-// default for tests and single-host benchmarks.
+// slots, the chaos config, the outbound cap, the clock epoch, and abort
+// propagation (what `mpisim::world` used to be). Each rank thread then holds
+// one `inproc::endpoint`, which sends by locking the destination slot
+// directly — no wire, no framing cost, which is exactly why this backend
+// remains the default for tests and single-host benchmarks.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -25,9 +26,11 @@ namespace ygm::transport::inproc {
 /// Shared by every rank thread of one run invocation. Thread-safe.
 class fabric {
  public:
-  explicit fabric(int nranks);
+  /// `outq_cap` is every endpoint's outq_cap() (0: no cap).
+  fabric(int nranks, std::size_t outq_cap);
 
   int size() const noexcept { return static_cast<int>(slots_.size()); }
+  std::size_t outq_cap() const noexcept { return outq_cap_; }
 
   mail_slot& slot(int world_rank);
 
@@ -52,6 +55,7 @@ class fabric {
 
  private:
   std::vector<std::unique_ptr<mail_slot>> slots_;
+  const std::size_t outq_cap_;
   chaos_config chaos_{};
   std::atomic<bool> aborted_{false};
   double epoch_ = monotonic_seconds();
@@ -71,7 +75,7 @@ class endpoint final : public transport::endpoint {
  private:
   /// Deliver into the destination slot, applying the outbound cap as a
   /// *soft* bound: when the destination's queued bytes exceed
-  /// outq_cap_bytes() the sender waits (bounded) for the receiver to drain,
+  /// outq_cap() the sender waits (bounded) for the receiver to drain,
   /// then proceeds regardless — with threads sharing one address space a
   /// hard block here could deadlock a receiver that is itself blocked
   /// posting, so overruns are counted (outq_overflows) instead of risking

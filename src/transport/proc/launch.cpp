@@ -152,11 +152,13 @@ void remove_rendezvous_dir(const std::string& dir) {
 std::unique_ptr<transport::endpoint> make_endpoint(backend_kind backend,
                                                    const std::string& dir,
                                                    int rank, int nranks,
-                                                   const chaos_config* chaos) {
+                                                   const chaos_config* chaos,
+                                                   std::size_t outq_cap) {
   if (backend == backend_kind::shm) {
     return std::make_unique<shm::endpoint>(dir, rank, nranks, chaos);
   }
-  return std::make_unique<socket::endpoint>(dir, rank, nranks, chaos);
+  return std::make_unique<socket::endpoint>(dir, rank, nranks, chaos,
+                                            outq_cap);
 }
 
 bool is_abort_echo(const std::string& msg) {
@@ -169,7 +171,7 @@ bool is_abort_echo(const std::string& msg) {
 
 std::vector<std::vector<std::byte>> launch(
     backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
-    const std::string& dir_hint,
+    std::size_t outq_cap, const std::string& dir_hint,
     const std::function<std::vector<std::byte>(transport::endpoint&)>& body) {
   const std::string backend_name(to_string(backend));
   YGM_CHECK(backend != backend_kind::inproc,
@@ -242,7 +244,8 @@ std::vector<std::vector<std::byte>> launch(
       {
         telemetry::span rank_span("rank.main");
         try {
-          auto ep = make_endpoint(backend, dir, r, nranks, chaos_ptr);
+          auto ep =
+              make_endpoint(backend, dir, r, nranks, chaos_ptr, outq_cap);
           try {
             result = body(*ep);
           } catch (...) {

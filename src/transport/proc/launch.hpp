@@ -44,14 +44,15 @@ namespace ygm::transport::proc {
 
 /// Run `body` on `nranks` forked processes connected by `backend`'s
 /// endpoint (socket or shm); returns one result blob per rank, ordered by
-/// rank. `dir_hint` names the rendezvous directory ("" = fresh mkdtemp
+/// rank. `outq_cap` is each socket endpoint's outq_cap() (shm ignores it).
+/// `dir_hint` names the rendezvous directory ("" = fresh mkdtemp
 /// under $TMPDIR — ygm-sock-XXXXXX or ygm-shm-XXXXXX — removed afterwards).
 /// The directory doubles as the statusz endpoint directory for every child,
 /// so live tooling discovers the whole job from it. Throws ygm::error
 /// carrying the first failing rank's message if any rank fails.
 std::vector<std::vector<std::byte>> launch(
     backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
-    const std::string& dir_hint,
+    std::size_t outq_cap, const std::string& dir_hint,
     const std::function<std::vector<std::byte>(transport::endpoint&)>& body);
 
 }  // namespace ygm::transport::proc

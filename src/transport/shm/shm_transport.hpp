@@ -57,7 +57,7 @@
 // Backpressure: the ring's fixed capacity is the transport bound — a
 // producer that cannot fit its next bytes stalls (pumping its own inbound
 // rings meanwhile, so two mutually-flooding ranks drain each other instead
-// of deadlocking). transport::outq_cap_bytes() does not apply here: its
+// of deadlocking). run_options::outq_cap_bytes does not apply here: its
 // 4 MiB default exceeds all the ring bytes of a pair, and the mailbox
 // credit budget is the end-to-end bound (docs/BACKPRESSURE.md).
 //

@@ -74,8 +74,9 @@ sockaddr_un make_addr(const std::string& path) {
 }  // namespace
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
-                   const chaos_config* chaos)
-    : transport::endpoint(backend_kind::socket, rank, nranks, own_slot_) {
+                   const chaos_config* chaos, std::size_t outq_cap)
+    : transport::endpoint(backend_kind::socket, rank, nranks, own_slot_,
+                          outq_cap) {
   YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
             "socket endpoint rank outside world");
   peers_.resize(static_cast<std::size_t>(nranks));
@@ -232,12 +233,11 @@ void endpoint::send(int dest, envelope&& e) {
     auto& p = peers_[static_cast<std::size_t>(dest)];
     YGM_CHECK(p.fd >= 0 && !p.fin_sent, "post after socket teardown");
 
-    const std::size_t cap = transport::outq_cap_bytes();
     // Accept when under the cap — or unconditionally when the queue is
     // empty (a single frame larger than the cap must still pass) or the
     // peer is already failed/aborting (fail_peer drops the queue anyway).
-    if (cap == 0 || p.outq.empty() || p.outq_bytes + frame_bytes <= cap ||
-        p.eof || aborted_) {
+    if (outq_cap_ == 0 || p.outq.empty() ||
+        p.outq_bytes + frame_bytes <= outq_cap_ || p.eof || aborted_) {
       out_msg m;
       m.hdr.kind = static_cast<std::uint32_t>(frame_kind::data);
       m.hdr.payload_len = static_cast<std::uint32_t>(e.payload.size());
@@ -260,7 +260,7 @@ void endpoint::send(int dest, envelope&& e) {
     }
     flush_peer(p);
     publish_outq();
-    if (p.outq_bytes + frame_bytes <= cap) continue;  // room now — retry
+    if (p.outq_bytes + frame_bytes <= outq_cap_) continue;  // room: retry
     // Wait for POLLOUT on the full peer; the pump also keeps reading
     // inbound frames, so a peer blocked posting to *us* drains too.
     const std::size_t before = p.outq_bytes;

@@ -16,12 +16,12 @@
 // core::buffer_pool when the wire accepts the last byte — PR 5's zero-copy
 // discipline across the process boundary. A send the kernel won't accept
 // whole parks the remainder on the peer's outbound queue, which is
-// *bounded*: at transport::outq_cap_bytes() the posting rank stops
-// accepting new data frames and pumps the wire (POLLOUT wakes it when the
-// peer drains, and the pump keeps reading inbound frames meanwhile, so two
-// mutually-flooding ranks drain each other instead of deadlocking) until
-// the queue has room. Control frames (hello/abort/fin) bypass the cap so
-// teardown and failure propagation can never be wedged behind data.
+// *bounded*: at outq_cap() the posting rank stops accepting new data frames
+// and pumps the wire (POLLOUT wakes it when the peer drains, and the pump
+// keeps reading inbound frames meanwhile, so two mutually-flooding ranks
+// drain each other instead of deadlocking) until the queue has room.
+// Control frames (hello/abort/fin) bypass the cap so teardown and failure
+// propagation can never be wedged behind data.
 //
 // The receive side is transport::endpoint's shared loop over this rank's
 // own mail_slot: pump() delivers completed data frames into the slot, and
@@ -55,9 +55,10 @@ class endpoint final : public transport::endpoint {
   /// Rendezvous under `dir` (every rank of the world passes the same
   /// directory) and connect the full mesh. Blocks until all peers are up or
   /// `handshake_timeout_s` elapses. `chaos` installs fault injection on the
-  /// receive slot (nullptr: none).
+  /// receive slot (nullptr: none); `outq_cap` bounds each peer's outbound
+  /// queue (0: no cap).
   endpoint(const std::string& dir, int rank, int nranks,
-           const chaos_config* chaos);
+           const chaos_config* chaos, std::size_t outq_cap);
   ~endpoint() override;
 
   void abort_world() override;

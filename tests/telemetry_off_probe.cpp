@@ -36,6 +36,7 @@ void ygm_telemetry_off_probe() {
   tel::live::note_latency(0, tel::live::latency_kind::e2e, 1.0);
   (void)&ygm::core::comm_world::next_hop;
   (void)&ygm::core::comm_world::bcast_next_hops;
-  auto services = tel::live::make_process_services();
+  auto services = tel::live::make_process_services(/*sample_ms=*/100,
+                                                   /*statusz=*/true);
   (void)services;
 }

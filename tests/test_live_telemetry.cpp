@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mini_json.hpp"
@@ -48,13 +49,11 @@ struct probe_payload {
   }
 };
 
-/// Every test leaves the process-global knobs (causal sampling, live
-/// overrides, global session) the way it found them.
+/// Every test leaves the process-global state (causal sampling, global
+/// session) the way it found them.
 struct live_config_guard {
   ~live_config_guard() {
     causal::set_sample_rate(0);
-    live::set_sample_ms_override(-1);
-    live::set_statusz_override(-1);
     tel::set_global(nullptr);
   }
 };
@@ -409,24 +408,40 @@ TEST(LiveChaos, InvariantsHoldWithSamplerAndSketchesOn) {
 
 // ------------------------------------------------------- knob precedence
 
+/// The live services a one-rank inproc launch with `opts` runs: the
+/// installed sampler's period (0: none) and whether statusz answers.
+std::pair<int, bool> live_services_of(ygm::run_options opts) {
+  opts.nranks = 1;
+  opts.backend = ygm::transport::backend_kind::inproc;
+  std::pair<int, bool> seen{-1, false};
+  ygm::launch(opts, [&](sim::comm&) {
+    seen = {live::sampler::info_installed().first,
+            query_own_statusz_health()};
+  });
+  return seen;
+}
+
 TEST(LiveKnobs, RunOptionsOverrideWinsAndRestores) {
   live_config_guard guard;
-  live::set_sample_ms_override(-1);
-  live::set_statusz_override(-1);
-  const int env_default = live::resolved_sample_ms();
-
-  {
-    ygm::run_options opts;
-    opts.nranks = 1;
-    opts.sample_ms = 0;  // explicitly off for this run
-    opts.statusz = 0;
-    ygm::launch(opts, [&](sim::comm&) {
-      EXPECT_EQ(live::resolved_sample_ms(), 0);
-      EXPECT_FALSE(live::resolved_statusz());
-    });
-  }
-  // scoped_run_defaults must restore the pre-run resolution.
-  EXPECT_EQ(live::resolved_sample_ms(), env_default);
+  // What a launch that sets neither field runs (YGM_SAMPLE_MS and
+  // YGM_STATUSZ or their defaults; tests/test_launch.cpp pins those).
+  const std::pair<int, bool> unset = live_services_of({});
+  // The fields decide their own run: .sample_ms = 0 installs no sampler,
+  // .statusz = 0 serves nothing...
+  EXPECT_EQ(live_services_of({.sample_ms = 0, .statusz = 0}),
+            std::make_pair(0, false));
+#if defined(YGM_TELEMETRY_DISABLED)
+  // (with the live services compiled out, no field starts one)...
+  EXPECT_EQ(live_services_of({.sample_ms = 7, .statusz = 1}),
+            std::make_pair(0, false));
+#else
+  EXPECT_EQ(live_services_of({.sample_ms = 7, .statusz = 1}),
+            std::make_pair(7, true));
+#endif
+  // ...and nothing of one run reaches the next launch, nor outlives it.
+  EXPECT_EQ(live_services_of({}), unset);
+  EXPECT_EQ(live::sampler::info_installed().first, 0);
+  EXPECT_FALSE(query_own_statusz_health());
 }
 
 }  // namespace

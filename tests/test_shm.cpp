@@ -469,7 +469,7 @@ void expect_killed_launcher_leaves_nothing(tp::backend_kind backend) {
   if (launcher == 0) {
     ::close(ready[0]);
     try {
-      tp::proc::launch(backend, kRanks, std::nullopt, dir,
+      tp::proc::launch(backend, kRanks, std::nullopt, 0, dir,
                        [&](tp::endpoint& ep) {
                          const pid_t me = ::getpid();
                          (void)!::write(ready[1], &me, sizeof(me));

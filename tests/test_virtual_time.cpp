@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ygm.hpp"
+#include "ser/serialize.hpp"
 
 namespace {
 
@@ -183,5 +186,63 @@ TEST(VirtualTime, ContainersAccrueVirtualTime) {
     EXPECT_EQ(cs.global_total(), 200u * static_cast<std::uint64_t>(c.size()));
   });
 }
+
+}  // namespace
+
+// ------------------------------------------------ launch-scoped network
+
+namespace {
+
+/// Each rank's (every world timed, every world untimed, virtual_elapsed()
+/// after a mailbox exchange) in a 4-rank launch on `backend`, with
+/// run_options::virtual_network set to `np`.
+std::vector<std::tuple<bool, bool, double>> launch_network_exchange(
+    ygm::transport::backend_kind backend,
+    std::optional<ygm::net::network_params> np) {
+  const auto blobs = ygm::launch_collect(
+      {.nranks = 4, .backend = backend, .virtual_network = np},
+      [](sim::comm& c) {
+        comm_world world(c, 2, scheme_kind::node_remote);
+        sim::comm dup = c.dup();
+        comm_world other(dup, 2, scheme_kind::no_route);
+        mailbox<int> mb(world, [](const int&) {});
+        for (int d = 0; d < c.size(); ++d) {
+          if (d != c.rank()) mb.send(d, 1);
+        }
+        mb.wait_empty();
+        return ygm::ser::to_bytes(std::make_tuple(
+            world.timed() && other.timed(), !world.timed() && !other.timed(),
+            world.virtual_elapsed()));
+      });
+  std::vector<std::tuple<bool, bool, double>> out;
+  for (const auto& b : blobs) {
+    out.push_back(ygm::ser::from_bytes<std::tuple<bool, bool, double>>(b));
+  }
+  return out;
+}
+
+class LaunchNetwork
+    : public ::testing::TestWithParam<ygm::transport::backend_kind> {};
+
+TEST_P(LaunchNetwork, TimesEveryWorldOfTheLaunchAndNoOther) {
+  for (const auto& [all_timed, none_timed, elapsed] : launch_network_exchange(
+           GetParam(), ygm::net::network_params::quartz_like())) {
+    EXPECT_TRUE(all_timed);
+    EXPECT_GT(elapsed, 0.0);
+  }
+  for (const auto& [all_timed, none_timed, elapsed] :
+       launch_network_exchange(GetParam(), std::nullopt)) {
+    EXPECT_TRUE(none_timed);
+    EXPECT_EQ(elapsed, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, LaunchNetwork,
+    ::testing::Values(ygm::transport::backend_kind::inproc,
+                      ygm::transport::backend_kind::socket),
+    [](const ::testing::TestParamInfo<ygm::transport::backend_kind>& info) {
+      return std::string(ygm::transport::to_string(info.param));
+    });
 
 }  // namespace
