@@ -152,11 +152,11 @@ std::vector<std::vector<std::byte>> launch_collect(
 
 namespace detail {
 
-/// Every run_options field as launch() resolved it at entry, by the table
-/// above: the one launch-scoped record. launch() hands its values to the
-/// code that uses them; comm_world's constructor reads credit_bytes and
-/// virtual_network from it, so every world built during a timed launch is
-/// timed.
+/// The knobs of the table above as launch() resolved them at entry, except
+/// trace_sample (the causal trace rate stays process-wide): the one
+/// launch-scoped record. launch() hands its values to the code that uses
+/// them; comm_world's constructor reads credit_bytes and virtual_network
+/// from it, so every world built during a timed launch is timed.
 struct resolved_run {
   transport::backend_kind backend;
   std::optional<mpisim::chaos_config> chaos;

@@ -8,7 +8,6 @@
 
 #include <cctype>
 #include <cstddef>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <ostream>
@@ -17,6 +16,7 @@
 
 #include "core/launch.hpp"
 #include "core/ygm.hpp"
+#include "scoped_env.hpp"
 #include "ser/serialize.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/sampler.hpp"
@@ -26,6 +26,7 @@ namespace {
 
 namespace sim = ygm::mpisim;
 using ygm::mpisim::chaos_config;
+using ygm::test::scoped_env;
 using ygm::transport::backend_kind;
 
 constexpr const char* kRunVariables[] = {
@@ -42,33 +43,6 @@ constexpr const char* kRunVariables[] = {
     "YGM_OUTQ_CAP_BYTES",
     "YGM_SAMPLE_MS",
     "YGM_STATUSZ",
-};
-
-/// Sets one environment variable for a scope (nullptr: unsets it) and
-/// restores its old value after.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~scoped_env() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  scoped_env(const scoped_env&) = delete;
-  scoped_env& operator=(const scoped_env&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
 };
 
 /// Each test starts with every run variable unset, so an ambient value

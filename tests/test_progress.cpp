@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -22,6 +21,7 @@
 #include "core/invariants.hpp"
 #include "core/ygm.hpp"
 #include "routing/router.hpp"
+#include "scoped_env.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/journey.hpp"
 #include "telemetry/telemetry.hpp"
@@ -35,6 +35,7 @@ using ygm::core::run_chaos_trial;
 using ygm::core::trial_config;
 using ygm::routing::scheme_kind;
 using ygm::routing::topology;
+using ygm::test::scoped_env;
 
 struct ping {
   std::uint64_t value = 0;
@@ -42,28 +43,6 @@ struct ping {
   void serialize(Ar& ar) {
     ar & value;
   }
-};
-
-/// RAII environment-variable override (tests run single-threaded at the
-/// gtest level; rank threads only read the environment).
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~scoped_env() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
 };
 
 bool wait_until(const std::function<bool()>& pred,
