@@ -128,12 +128,12 @@ rank_results run_inproc(int nranks, const resolved_run& run,
   return results;
 }
 
-/// The process-per-rank backends: proc::launch owns forking, rendezvous,
-/// telemetry lane shipping and error propagation; the body here runs in
-/// each forked child, so the child starts its own services (an engine
-/// thread would not survive the fork from the parent). The child's engine
-/// records onto a lane it adds to the rank's telemetry world, which ships
-/// back to the parent with the rank's lane.
+/// The process-per-rank backends: proc::launch owns the world's set-up,
+/// forking, telemetry lane shipping and error propagation; the body here
+/// runs in each forked child, so the child starts its own services (an
+/// engine thread would not survive the fork from the parent). The child's
+/// engine records onto a lane it adds to the rank's telemetry world, which
+/// ships back to the parent with the rank's lane.
 rank_results run_forked(const run_options& opts, const resolved_run& run,
                         const rank_fn& fn) {
   return transport::proc::launch(

@@ -85,9 +85,10 @@ struct run_options {
   /// Fault injection; nullopt defers to YGM_CHAOS* (docs/CHAOS.md).
   std::optional<mpisim::chaos_config> chaos{};
 
-  /// Process-per-rank backends (socket, shm) only: rendezvous directory
-  /// ("" = fresh mkdtemp under $TMPDIR, removed after the run). The shm
-  /// backend also derives its segment names from the directory's basename.
+  /// Process-per-rank backends (socket, shm) only: the directory that
+  /// holds the socket files and every rank's statusz endpoint ("" = fresh
+  /// mkdtemp under $TMPDIR, removed after the run). Shm segments have no
+  /// name, so nothing of the shm backend lives there.
   std::string socket_dir{};
 
   /// Progress mode; nullopt defers to YGM_PROGRESS (default polling).

@@ -285,9 +285,9 @@ void sampler_poll() noexcept;
 
 // ------------------------------------------------------------ statusz dir
 
-/// Directory statusz sockets are created in: YGM_STATUSZ_DIR > the socket
-/// backend's rendezvous-dir hint (set_statusz_dir_hint, called in each
-/// forked child) > $TMPDIR > /tmp.
+/// Directory statusz sockets are created in: YGM_STATUSZ_DIR > the launch
+/// directory of the socket and shm backends (set_statusz_dir_hint, called
+/// in each forked child) > $TMPDIR > /tmp.
 std::string statusz_dir();
 void set_statusz_dir_hint(const std::string& dir);
 

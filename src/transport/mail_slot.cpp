@@ -222,6 +222,11 @@ void mail_slot::wait_for_delivery(std::uint64_t seen,
                [&] { return deliveries_ != seen || aborted_; });
 }
 
+std::uint64_t mail_slot::deliveries() const {
+  std::lock_guard lock(mtx_);
+  return deliveries_;
+}
+
 std::size_t mail_slot::pending() const {
   std::lock_guard lock(mtx_);
   return q_.size();

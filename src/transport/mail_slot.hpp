@@ -112,6 +112,11 @@ class mail_slot {
   /// that match returns at once: no wakeup is lost.
   void wait_for_delivery(std::uint64_t seen, std::chrono::microseconds timeout);
 
+  /// Messages ever delivered: the count a match_miss records. A backend's
+  /// wait compares the two to tell whether anything arrived since a failed
+  /// match.
+  std::uint64_t deliveries() const;
+
   /// Chaos scheduling jitter: maybe sleep briefly, one draw per call.
   /// Called without the slot's lock, once per messaging operation.
   void maybe_stall();

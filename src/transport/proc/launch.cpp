@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <poll.h>
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -119,9 +119,9 @@ void write_fully(int fd, const std::byte* p, std::size_t n) {
   }
 }
 
-// ------------------------------------------------------- rendezvous dir
+// -------------------------------------------------------- launch dir
 
-std::string make_rendezvous_dir(const std::string& prefix) {
+std::string make_launch_dir(const std::string& prefix) {
   const char* tmp = std::getenv("TMPDIR");
   std::string templ = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
                       "/" + prefix + "-XXXXXX";
@@ -132,7 +132,7 @@ std::string make_rendezvous_dir(const std::string& prefix) {
   return std::string(buf.data());
 }
 
-void remove_rendezvous_dir(const std::string& dir) {
+void remove_launch_dir(const std::string& dir) {
   DIR* d = opendir(dir.c_str());
   if (d != nullptr) {
     while (dirent* ent = readdir(d)) {
@@ -145,21 +145,51 @@ void remove_rendezvous_dir(const std::string& dir) {
   (void)::rmdir(dir.c_str());
 }
 
-/// Build the child's endpoint over the rendezvous directory. Runs in the
-/// forked child; blocking until the world has rendezvoused is the
-/// endpoint's business (both backends enforce their own handshake
-/// deadline). `chaos` is non-null only when fault injection is enabled.
-std::unique_ptr<transport::endpoint> make_endpoint(backend_kind backend,
-                                                   const std::string& dir,
-                                                   int rank, int nranks,
-                                                   const chaos_config* chaos,
-                                                   std::size_t outq_cap) {
-  if (backend == backend_kind::shm) {
-    return std::make_unique<shm::endpoint>(dir, rank, nranks, chaos);
+/// What the launcher builds before its first fork, so that a forked rank
+/// joins a world that is already there: every rank's shm segment, or every
+/// rank's listening socket.
+struct prebuilt_world {
+  std::optional<shm::world> shm;
+  std::optional<socket::world> socket;
+
+  prebuilt_world(backend_kind backend, const std::string& dir, int nranks) {
+    if (backend == backend_kind::shm) {
+      shm.emplace(nranks);
+    } else {
+      socket.emplace(dir, nranks);
+    }
   }
-  return std::make_unique<socket::endpoint>(dir, rank, nranks, chaos,
-                                            outq_cap);
-}
+
+  /// Close every descriptor of the world, so a dead rank's listener closes
+  /// with it: the launcher after its last fork, a child once it joined. The
+  /// launcher's shm header mappings stay, for poison().
+  void close_fds() noexcept {
+    if (shm) shm->close_fds();
+    if (socket) socket->close_listeners();
+  }
+
+  /// In the forked child: join the world as `rank`, then close every
+  /// descriptor of it (the endpoint keeps its mappings or connections).
+  /// `chaos` is non-null only when fault injection is enabled.
+  std::unique_ptr<transport::endpoint> join(int rank, const chaos_config* chaos,
+                                            std::size_t outq_cap) {
+    std::unique_ptr<transport::endpoint> ep;
+    if (shm) {
+      ep = std::make_unique<shm::endpoint>(*shm, rank, chaos);
+    } else {
+      ep = std::make_unique<socket::endpoint>(*socket, rank, chaos, outq_cap);
+    }
+    close_fds();
+    return ep;
+  }
+
+  /// A rank died without unwinding, so it never poisoned the world. Shm
+  /// peers parked on it would wait forever; socket peers see its sockets
+  /// close on their own.
+  void poison() noexcept {
+    if (shm) shm->poison();
+  }
+};
 
 bool is_abort_echo(const std::string& msg) {
   // Ranks that died *because* the world was poisoned report the generic
@@ -181,10 +211,20 @@ std::vector<std::vector<std::byte>> launch(
 
   const std::string dir =
       dir_hint.empty()
-          ? make_rendezvous_dir(backend == backend_kind::shm ? "ygm-shm"
-                                                             : "ygm-sock")
+          ? make_launch_dir(backend == backend_kind::shm ? "ygm-shm"
+                                                         : "ygm-sock")
           : dir_hint;
-  const bool own_dir = dir_hint.empty();
+  // A directory this launch made goes when the launch ends, however it
+  // ends; the world, declared after it, is destroyed first.
+  const struct dir_guard {
+    const std::string* made;
+    ~dir_guard() {
+      if (made != nullptr) remove_launch_dir(*made);
+    }
+  } guard{dir_hint.empty() ? &dir : nullptr};
+  // Every segment or listening socket exists before the first fork, so no
+  // rank ever waits for a peer to appear.
+  prebuilt_world world(backend, dir, nranks);
   const chaos_config* chaos_ptr =
       chaos.has_value() && chaos->enabled() ? &*chaos : nullptr;
 
@@ -205,14 +245,8 @@ std::vector<std::vector<std::byte>> launch(
   // replayed once per rank.
   std::fflush(nullptr);
 
-  // A caller-supplied directory may hold the abort marker of an earlier
-  // run that was poisoned and then lost its launcher.
-  if (backend == backend_kind::shm) {
-    (void)::unlink(shm::abort_marker(dir).c_str());
-  }
-
   // Ranks check this pid in every bounded wait: a launcher killed before
-  // it reaps them must not leave them running, or their segments behind.
+  // it reaps them must not leave them running.
   note_launcher();
   std::vector<pid_t> pids(static_cast<std::size_t>(nranks), -1);
   for (int r = 0; r < nranks; ++r) {
@@ -230,8 +264,8 @@ std::vector<std::vector<std::byte>> launch(
     }
     const int out_fd = pipes[static_cast<std::size_t>(r)][1];
 
-    // Advertise statusz endpoints through the rendezvous directory: every
-    // child binds its introspection socket next to the rank rendezvous
+    // Advertise statusz endpoints through the launch directory: every
+    // child binds its introspection socket next to the ranks' socket
     // files, so ygm_top can discover the whole job from the one directory.
     telemetry::live::set_statusz_dir_hint(dir);
 
@@ -244,8 +278,7 @@ std::vector<std::vector<std::byte>> launch(
       {
         telemetry::span rank_span("rank.main");
         try {
-          auto ep =
-              make_endpoint(backend, dir, r, nranks, chaos_ptr, outq_cap);
+          auto ep = world.join(r, chaos_ptr, outq_cap);
           try {
             result = body(*ep);
           } catch (...) {
@@ -278,6 +311,7 @@ std::vector<std::vector<std::byte>> launch(
 
   // ----------------------------------------------------------- parent
   for (int r = 0; r < nranks; ++r) ::close(pipes[static_cast<std::size_t>(r)][1]);
+  world.close_fds();
 
   // Drain every pipe to EOF before reaping: a child blocked writing a large
   // report into a full pipe must never deadlock against a parent blocked in
@@ -309,13 +343,8 @@ std::vector<std::vector<std::byte>> launch(
       } else if (got == 0 || (got < 0 && errno != EINTR && errno != EAGAIN)) {
         ::close(fd);
         fd = -1;
-        // No report: the rank died without unwinding (a signal, _exit), so
-        // it never poisoned the world. Shm peers parked on it would wait
-        // forever; socket peers see its sockets close on their own.
-        if (backend == backend_kind::shm &&
-            raw[static_cast<std::size_t>(pfd_rank[i])].empty()) {
-          shm::poison_world(dir, nranks);
-        }
+        // No report: the rank died without unwinding (a signal, _exit).
+        if (raw[static_cast<std::size_t>(pfd_rank[i])].empty()) world.poison();
       }
     }
   }
@@ -329,17 +358,6 @@ std::vector<std::vector<std::byte>> launch(
     exit_codes[static_cast<std::size_t>(r)] =
         WIFEXITED(st) ? WEXITSTATUS(st) : 128 + WTERMSIG(st);
   }
-
-  // Sweep shm segments first (healthy ranks unlinked their own already, so
-  // this only catches ranks that died before their endpoint destructor
-  // ran) and the abort marker, then the directory itself.
-  if (backend == backend_kind::shm) {
-    for (int r = 0; r < nranks; ++r) {
-      (void)::shm_unlink(shm::segment_name(dir, r).c_str());
-    }
-    (void)::unlink(shm::abort_marker(dir).c_str());
-  }
-  if (own_dir) remove_rendezvous_dir(dir);
 
   // Parse reports; absorb telemetry even from failed ranks (their lanes
   // show where the failure happened).

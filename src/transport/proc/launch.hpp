@@ -1,15 +1,21 @@
-// Rank-0 rendezvous/launch helper for the process-per-rank transport
-// backends (socket, shm): fork one OS process per rank, rendezvous them over
-// a shared directory, and collect per-rank results and telemetry back in the
-// parent. The two backends differ only in the endpoint a child constructs
-// over the rendezvous directory and in what the parent sweeps up afterwards:
-// socket files live inside the directory; the shm backend derives its
-// segment names from the directory's basename and the parent shm_unlinks
-// "/<token>.r<i>" for every rank after reaping, because a child that died
-// abnormally (signal, _exit mid-run) never reaches its endpoint destructor.
-// Such a child also never poisons its shm peers, so the parent does it for
-// the child (shm::poison_world) as soon as its result pipe closes without
-// a report.
+// Launch helper for the process-per-rank transport backends (socket, shm):
+// build the world, fork one OS process per rank into it, and collect
+// per-rank results and telemetry back in the parent — the part of mpirun
+// that connects every rank before any user code runs.
+//
+// World set-up: before its first fork the launcher builds everything the
+// ranks share. For shm it creates every rank's segment as unnamed shared
+// memory (shm::world: memfd, sized, header and ring controls initialized)
+// and keeps each header mapped; for sockets it binds and listens on every
+// rank's <dir>/r<rank>.sock (socket::world). A child joins from the
+// descriptors it inherited: it maps its shm world, or connects to listeners
+// that are already up, so no rank polls or sleeps waiting for a peer, and
+// with no segment name nothing can leak into /dev/shm. After the last fork
+// the launcher closes its copies of the descriptors. A rank that dies
+// without unwinding (signal, _exit) never poisons its shm peers, so the
+// launcher does it through its header mappings (shm::world::poison) as soon
+// as the rank's result pipe closes without a report; socket peers see the
+// dead rank's sockets close.
 //
 // Result channel: one pipe per rank. A child runs the rank body, then ships
 // a single framed blob — status, error text, the body's result bytes, and
@@ -45,11 +51,11 @@ namespace ygm::transport::proc {
 /// Run `body` on `nranks` forked processes connected by `backend`'s
 /// endpoint (socket or shm); returns one result blob per rank, ordered by
 /// rank. `outq_cap` is each socket endpoint's outq_cap() (shm ignores it).
-/// `dir_hint` names the rendezvous directory ("" = fresh mkdtemp
-/// under $TMPDIR — ygm-sock-XXXXXX or ygm-shm-XXXXXX — removed afterwards).
-/// The directory doubles as the statusz endpoint directory for every child,
-/// so live tooling discovers the whole job from it. Throws ygm::error
-/// carrying the first failing rank's message if any rank fails.
+/// `dir_hint` names the directory that holds the socket files and every
+/// child's statusz endpoint, so live tooling discovers the whole job from
+/// it ("" = fresh mkdtemp under $TMPDIR — ygm-sock-XXXXXX or
+/// ygm-shm-XXXXXX — removed afterwards). Throws ygm::error carrying the
+/// first failing rank's message if any rank fails.
 std::vector<std::vector<std::byte>> launch(
     backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
     std::size_t outq_cap, const std::string& dir_hint,

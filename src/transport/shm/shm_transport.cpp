@@ -1,8 +1,6 @@
 #include "transport/shm/shm_transport.hpp"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <new>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -63,170 +62,110 @@ std::vector<std::byte> payload_buffer(std::size_t n) {
 
 }  // namespace
 
-std::string segment_name(const std::string& dir, int rank) {
-  const auto slash = dir.find_last_of('/');
-  const std::string token =
-      slash == std::string::npos ? dir : dir.substr(slash + 1);
-  return "/" + token + ".r" + std::to_string(rank);
-}
-
-std::string abort_marker(const std::string& dir) {
-  return dir + "/shm.aborted";
-}
-
-void poison_world(const std::string& dir, int nranks) {
-  // The marker first: a rank that initializes its segment after the loop
-  // below touched it still finds the marker when it next checks.
-  const int mfd = ::open(abort_marker(dir).c_str(),
-                         O_CREAT | O_WRONLY | O_CLOEXEC, 0600);
-  if (mfd >= 0) ::close(mfd);
-  for (int r = 0; r < nranks; ++r) {
-    const int fd = ::shm_open(segment_name(dir, r).c_str(), O_RDWR, 0600);
-    if (fd < 0) continue;  // never created, or already unlinked
-    // Only the header is touched; a segment not yet sized that far is
-    // still in its creator's rendezvous, which has its own deadline.
-    struct stat st{};
-    void* base = MAP_FAILED;
-    if (::fstat(fd, &st) == 0 &&
-        static_cast<std::size_t>(st.st_size) >= sizeof(seg_header)) {
-      base = ::mmap(nullptr, sizeof(seg_header), PROT_READ | PROT_WRITE,
-                    MAP_SHARED, fd, 0);
+world::world(int nranks)
+    : nranks_(nranks),
+      fds_(static_cast<std::size_t>(nranks), -1),
+      headers_(static_cast<std::size_t>(nranks), nullptr) {
+  YGM_CHECK(nranks > 0, "shm world needs a positive rank count");
+  if (nranks == 1) return;  // a single rank has no peer and no segment
+  YGM_CHECK(data_align % static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) == 0,
+            "shm data areas are not page-aligned on this host");
+  try {
+    for (int r = 0; r < nranks; ++r) {
+      int& fd = fds_[static_cast<std::size_t>(r)];
+      fd = ::memfd_create("ygm-shm", MFD_CLOEXEC);
+      YGM_CHECK(fd >= 0,
+                std::string("memfd_create failed: ") + std::strerror(errno));
+      YGM_CHECK(
+          ::ftruncate(fd, static_cast<off_t>(segment_bytes(nranks))) == 0,
+          std::string("ftruncate failed: ") + std::strerror(errno));
+      void* base = ::mmap(nullptr, data_offset(nranks), PROT_READ | PROT_WRITE,
+                          MAP_SHARED, fd, 0);
+      YGM_CHECK(base != MAP_FAILED,
+                std::string("mmap failed: ") + std::strerror(errno));
+      auto* h = new (base) seg_header;
+      headers_[static_cast<std::size_t>(r)] = h;
+      h->nranks = static_cast<std::uint32_t>(nranks);
+      h->aborted.store(0, std::memory_order_relaxed);
+      h->recv_seq.store(0, std::memory_order_relaxed);
+      h->recv_parked.store(0, std::memory_order_relaxed);
+      for (int p = 0; p < nranks; ++p) {
+        (new (ctrl_at(base, p)) ring_ctrl)->init();
+      }
     }
-    ::close(fd);
-    if (base == MAP_FAILED) continue;
-    poison(*static_cast<seg_header*>(base));
-    ::munmap(base, sizeof(seg_header));
+  } catch (...) {
+    release();
+    throw;
   }
 }
 
-endpoint::endpoint(const std::string& dir, int rank, int nranks,
-                   const chaos_config* chaos)
-    : transport::endpoint(backend_kind::shm, rank, nranks, own_slot_) {
-  YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
-            "shm endpoint rank outside world");
-  segments_.resize(static_cast<std::size_t>(nranks));
-  out_.resize(static_cast<std::size_t>(nranks));
-  in_.resize(static_cast<std::size_t>(nranks));
-  for (auto& p : in_) p.owner = this;
-  handshake(dir, chaos);
-  epoch_ = monotonic_seconds();
+world::~world() { release(); }
+
+void world::release() noexcept {
+  close_fds();
+  for (seg_header*& h : headers_) {
+    if (h != nullptr) ::munmap(h, data_offset(nranks_));
+    h = nullptr;
+  }
 }
 
-void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
+void world::close_fds() noexcept {
+  for (int& fd : fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+}
+
+void world::poison() noexcept {
+  for (seg_header* h : headers_) {
+    if (h != nullptr) shm::poison(*h);
+  }
+}
+
+endpoint::endpoint(const world& w, int rank, const chaos_config* chaos)
+    : transport::endpoint(backend_kind::shm, rank, w.nranks(), own_slot_) {
+  YGM_CHECK(rank >= 0 && rank < nranks_, "shm endpoint rank outside world");
+  segments_.resize(static_cast<std::size_t>(nranks_));
+  out_.resize(static_cast<std::size_t>(nranks_));
+  in_.resize(static_cast<std::size_t>(nranks_));
+  for (auto& p : in_) p.owner = this;
   if (chaos != nullptr && chaos->enabled()) {
     slot_->configure_chaos(*chaos, rank_);
   }
-  if (nranks_ == 1) return;
+  if (nranks_ > 1) map_world(w);
+  epoch_ = monotonic_seconds();
+}
 
+void endpoint::map_world(const world& w) {
   const std::size_t bytes = segment_bytes(nranks_);
-  YGM_CHECK(data_align % static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) == 0,
-            "shm data areas are not page-aligned on this host");
-
-  // Create this rank's inbound segment first, so peers' open loops can
-  // succeed regardless of arrival order (the mirror of bind-before-connect
-  // in the socket handshake). A stale segment with the same name (reused
-  // dir_hint after a crash) is unlinked first — each rank only ever creates
-  // its own name, so the unlink cannot race a sibling.
-  seg_name_ = segment_name(dir, rank_);
-  (void)::shm_unlink(seg_name_.c_str());
-  const int fd = ::shm_open(seg_name_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  YGM_CHECK(fd >= 0, std::string("shm_open(create) failed on ") + seg_name_ +
-                         ": " + std::strerror(errno));
-  YGM_CHECK(::ftruncate(fd, static_cast<off_t>(bytes)) == 0,
-            std::string("ftruncate failed on ") + seg_name_ + ": " +
-                std::strerror(errno));
-  void* base =
-      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) ::close(fd);
-  YGM_CHECK(base != MAP_FAILED,
-            std::string("mmap failed: ") + std::strerror(errno));
-  segments_[static_cast<std::size_t>(rank_)] = {base, bytes, nullptr};
-
+  for (int r = 0; r < nranks_; ++r) {
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
+                        w.fd(r), 0);
+    YGM_CHECK(base != MAP_FAILED,
+              "mmap failed on the shm segment of rank " + std::to_string(r) +
+                  ": " + std::strerror(errno));
+    auto* h = static_cast<seg_header*>(base);
+    segments_[static_cast<std::size_t>(r)] = {base, bytes, h};
+    YGM_CHECK(h->nranks == static_cast<std::uint32_t>(nranks_),
+              "shm segment belongs to a world of another size");
+    if (r == rank_) continue;
+    // We produce into the ring with our index in every peer's segment.
+    out_[static_cast<std::size_t>(r)].ring =
+        ring_view(ctrl_at(base, rank_),
+                  static_cast<std::byte*>(base) + data_at(nranks_, rank_),
+                  ring_bytes);
+  }
   // The consumer reads each inbound ring through its own mirrored mapping,
   // so every frame of up to ring_bytes is one contiguous span.
+  void* own = segments_[static_cast<std::size_t>(rank_)].base;
   for (int p = 0; p < nranks_; ++p) {
     if (p == rank_) continue;
     auto& in = in_[static_cast<std::size_t>(p)];
-    in.mirror = map_mirrored(fd, data_at(nranks_, p), ring_bytes);
-    if (in.mirror == nullptr) ::close(fd);
+    in.mirror = map_mirrored(w.fd(rank_), data_at(nranks_, p), ring_bytes);
     YGM_CHECK(in.mirror != nullptr,
               std::string("mirrored mmap failed: ") + std::strerror(errno));
-    in.ring = ring_view(ctrl_at(base, p), in.mirror, ring_bytes);
+    in.ring = ring_view(ctrl_at(own, p), in.mirror, ring_bytes);
   }
-  ::close(fd);
-
-  auto* h = new (base) seg_header;
-  h->magic.store(0, std::memory_order_relaxed);
-  h->nranks = static_cast<std::uint32_t>(nranks_);
-  h->aborted.store(0, std::memory_order_relaxed);
-  h->recv_seq.store(0, std::memory_order_relaxed);
-  h->recv_parked.store(0, std::memory_order_relaxed);
-  for (int p = 0; p < nranks_; ++p) (new (ctrl_at(base, p)) ring_ctrl)->init();
-  // Everything above must be visible before the magic: openers acquire it.
-  h->magic.store(seg_magic, std::memory_order_release);
-  segments_[static_cast<std::size_t>(rank_)].hdr = h;
-
-  // Map every peer's segment (we are the producer of our pair_block there),
-  // retrying while the file is still appearing or being sized. A faster
-  // peer may already have finished its handshake, failed, poisoned every
-  // segment it mapped (ours included) and unlinked its own; every retry
-  // therefore also reads our own abort flag and the launcher's abort
-  // marker (left when a rank died before it could poison anyone) and ends
-  // with the abort echo the launcher recognises, instead of waiting out
-  // the deadline and reporting a timeout that hides the real failure.
-  const double deadline = monotonic_seconds() + handshake_timeout_s;
-  const std::string marker = abort_marker(dir);
-  const auto check_aborted = [&] {
-    YGM_CHECK(h->aborted.load(std::memory_order_acquire) == 0 &&
-                  ::access(marker.c_str(), F_OK) != 0,
-              "shm world aborted during rendezvous");
-  };
-  const auto check_retry = [&](const std::string& waiting_for) {
-    check_aborted();
-    YGM_CHECK(monotonic_seconds() < deadline,
-              "shm rendezvous timed out " + waiting_for);
-  };
-  for (int d = 0; d < nranks_; ++d) {
-    if (d == rank_) continue;
-    const std::string name = segment_name(dir, d);
-    int pfd = -1;
-    for (;;) {
-      pfd = ::shm_open(name.c_str(), O_RDWR, 0600);
-      if (pfd >= 0) break;
-      YGM_CHECK(errno == ENOENT || errno == EACCES,
-                std::string("shm_open failed on ") + name + ": " +
-                    std::strerror(errno));
-      check_retry("waiting for rank " + std::to_string(d));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // ftruncate may not have landed yet; wait for the full size so the map
-    // never faults past EOF.
-    for (;;) {
-      struct stat st{};
-      YGM_CHECK(::fstat(pfd, &st) == 0, "fstat failed during shm rendezvous");
-      if (static_cast<std::size_t>(st.st_size) >= bytes) break;
-      check_retry("sizing rank " + std::to_string(d));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    void* pbase =
-        ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, pfd, 0);
-    ::close(pfd);
-    YGM_CHECK(pbase != MAP_FAILED,
-              std::string("mmap failed: ") + std::strerror(errno));
-    auto* ph = reinterpret_cast<seg_header*>(pbase);
-    while (ph->magic.load(std::memory_order_acquire) != seg_magic) {
-      check_retry("initializing rank " + std::to_string(d));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    segments_[static_cast<std::size_t>(d)] = {pbase, bytes, ph};
-    out_[static_cast<std::size_t>(d)].ring =
-        ring_view(ctrl_at(pbase, rank_),
-                  static_cast<std::byte*>(pbase) + data_at(nranks_, rank_),
-                  ring_bytes);
-  }
-  // Every peer was up at once, so no retry looked: a poison that reached
-  // our segment before our header was initialized left only the marker.
-  check_aborted();
 }
 
 endpoint::~endpoint() {
@@ -277,9 +216,8 @@ endpoint::~endpoint() {
   telemetry::count("transport.shm.frames_copied", frames_copied_);
   telemetry::count("transport.shm.lend_evictions", lend_evictions_);
 
-  // Unlink our own segment; mappings (ours and every producer's) survive
-  // the unlink, so stragglers write into orphaned memory harmlessly. The
-  // launcher's segment sweep covers ranks that never reached this line.
+  // Producers' published frames live in our segment, and ours in theirs;
+  // each segment is freed once the last process mapping it is gone.
   for (auto& s : segments_) {
     if (s.base != nullptr) ::munmap(s.base, s.bytes);
     s = {};
@@ -288,7 +226,6 @@ endpoint::~endpoint() {
     unmap_mirrored(p.mirror, ring_bytes);
     p.mirror = nullptr;
   }
-  if (!seg_name_.empty()) (void)::shm_unlink(seg_name_.c_str());
 }
 
 bool endpoint::world_marked_aborted() const {
@@ -647,6 +584,9 @@ void endpoint::wait(const match_miss& miss) {
   // the rank that started it.
   if (!aborted_ && world_marked_aborted()) mark_aborted_locked();
   if (aborted_) return;
+  // The progress engine may have moved a peer's last frames and its fin
+  // into the slot since the failed match: match again before judging.
+  if (slot_->deliveries() != miss.deliveries) return;
   YGM_CHECK(miss.delayed || !all_peers_silent(),
             std::string("shm ") + miss.op +
                 " would block forever: all peers finished and no matching "

@@ -1,19 +1,21 @@
 // Backend #3: one OS process per rank over shared-memory SPSC rings.
 //
-// Topology: full mesh of bounded byte rings. Each rank owns ONE shm_open
-// segment named "/<token>.r<rank>" (token = basename of the rendezvous
-// directory) holding every ring INBOUND to it, an ordered byte stream of
-// whole frames per producer rank. Layout: the seg_header, then one
-// ring_ctrl per producer, then — from the first data_align boundary — one
-// ring_bytes data area per producer, each page-aligned. A rank maps
-// nranks segments — its own as the consumer, every peer's as a producer —
-// and maps each inbound data area a second time, twice back to back
-// (map_mirrored), so any frame of up to ring_bytes is contiguous to the
-// consumer. Rendezvous is pure filesystem: the creator
-// sizes and initializes its segment then release-stores a magic word;
-// openers retry shm_open/fstat until the segment exists at full size and
-// the magic is visible, under the same handshake deadline as the socket
-// backend.
+// Topology: full mesh of bounded byte rings. Each rank owns ONE segment, an
+// unnamed shared memory file (memfd), holding every ring INBOUND to it, an
+// ordered byte stream of whole frames per producer rank. Layout: the
+// seg_header, then one ring_ctrl per producer, then — from the first
+// data_align boundary — one ring_bytes data area per producer, each
+// page-aligned. A rank maps nranks segments — its own as the consumer,
+// every peer's as a producer — and maps each inbound data area a second
+// time, twice back to back (map_mirrored), so any frame of up to
+// ring_bytes is contiguous to the consumer.
+//
+// World set-up: the launcher builds the world before its first fork
+// (shm::world, called by transport/proc/launch.cpp): it creates, sizes and
+// initializes every segment and keeps each header mapped. A forked rank
+// maps its world from the descriptors it inherited and then closes them;
+// there is nothing to wait for and no name to find, so no rank ever polls
+// for a peer, and no segment outlives the last process that maps it.
 //
 // Wire format: the frame header {kind, payload_len, src, tag, ctx} is
 // byte-identical to the socket backend's, and every frame streams through
@@ -71,17 +73,14 @@
 // Failure: abort_world sets an aborted flag in every mapped segment and
 // bumps every doorbell; peers notice on their next pump or park and poison
 // their slots. Every bounded wait also checks that the launcher is alive
-// (check_launcher_alive), so ranks of a killed launcher unwind, poison
-// their peers and unlink their segments. A rank killed without unwinding cannot do that, so the
-// launcher (transport/proc/launch.cpp) calls poison_world when a rank's
-// result pipe closes without a report, and shm_unlinks every
-// "/<token>.r<i>" after reaping children, so abnormal exits neither hang
-// their peers nor leak /dev/shm space.
+// (check_launcher_alive), so ranks of a killed launcher unwind and poison
+// their peers. A rank killed without unwinding cannot do that, so the
+// launcher poisons the world through its own header mappings
+// (world::poison) when a rank's result pipe closes without a report.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "transport/chaos.hpp"
@@ -101,10 +100,9 @@ inline constexpr std::size_t ring_bytes = 256 * 1024;
 inline constexpr std::size_t data_align = 64 * 1024;
 static_assert(ring_bytes % data_align == 0);
 
-/// Head of every segment. magic is release-stored LAST by the creator, so
-/// an opener that acquire-loads it sees a fully initialized layout.
+/// Head of every segment, initialized by the launcher before any rank
+/// maps it.
 struct alignas(cache_line) seg_header {
-  std::atomic<std::uint32_t> magic;
   std::uint32_t nranks;
   std::atomic<std::uint32_t> aborted;
   /// Doorbell the owning (consumer) rank parks on; every producer bumps it
@@ -113,8 +111,6 @@ struct alignas(cache_line) seg_header {
   std::atomic<std::uint32_t> recv_parked;
 };
 static_assert(sizeof(seg_header) == cache_line);
-
-inline constexpr std::uint32_t seg_magic = 0x79676d73;  // "ygms"
 
 /// Offset of the first data area: past the header and one ring_ctrl per
 /// producer, rounded up to data_align.
@@ -130,39 +126,54 @@ constexpr std::size_t segment_bytes(int nranks) {
   return data_offset(nranks) + static_cast<std::size_t>(nranks) * ring_bytes;
 }
 
-/// "/<token>.r<rank>" — the shm_open name of one rank's inbound segment,
-/// where token is the basename of the rendezvous directory. Exposed so the
-/// launcher's orphan sweep and tests can reconstruct names.
-std::string segment_name(const std::string& dir, int rank);
+/// The shared memory of one shm world: one segment per rank, each an
+/// unnamed shared memory file (memfd) that the launcher creates, sizes and
+/// initializes before its first fork. Forked ranks inherit the
+/// descriptors and map the world from them (endpoint's constructor); the
+/// launcher keeps every segment's header mapped so it can poison the
+/// world for a rank that dies without unwinding. A segment has no name, so
+/// it is freed with the last process that maps it or holds its descriptor.
+class world {
+ public:
+  /// Build the segments of an nranks world (none for a single rank).
+  explicit world(int nranks);
+  ~world();
+  world(const world&) = delete;
+  world& operator=(const world&) = delete;
 
-/// Poison the world rendezvoused under `dir` from outside it: leave the
-/// abort marker in `dir`, then set the abort flag in every rank segment
-/// that exists and ring its recv doorbell, so ranks parked on a dead peer
-/// wake and fail. The launcher calls this when a rank's result pipe closes
-/// without a report.
-void poison_world(const std::string& dir, int nranks);
+  int nranks() const noexcept { return nranks_; }
+  /// The descriptor of `rank`'s segment; -1 once close_fds() ran.
+  int fd(int rank) const noexcept {
+    return fds_[static_cast<std::size_t>(rank)];
+  }
 
-/// "<dir>/shm.aborted", the marker poison_world leaves. A rank whose
-/// segment did not exist yet at the poison (it was still starting up, or
-/// its header initialization overwrote the flag) finds the marker in its
-/// rendezvous and fails at once. The launcher removes it after the run.
-std::string abort_marker(const std::string& dir);
+  /// Close every segment descriptor (mappings stay valid): the launcher
+  /// after its last fork, a rank once its endpoint has mapped the world.
+  void close_fds() noexcept;
+
+  /// Set every segment's aborted flag and ring its recv doorbell, so ranks
+  /// parked on a dead peer wake and fail.
+  void poison() noexcept;
+
+ private:
+  /// Close the descriptors and unmap the headers.
+  void release() noexcept;
+
+  int nranks_;
+  std::vector<int> fds_;
+  std::vector<seg_header*> headers_;  ///< mapped data_offset(nranks) bytes
+};
 
 class endpoint final : public transport::endpoint {
  public:
-  /// Rendezvous under `dir` (every rank of the world passes the same
-  /// directory): create this rank's segment, then map every peer's. Blocks
-  /// until all segments are up, a peer poisons this rank's segment (throws
-  /// "world aborted"), or `handshake_timeout_s` elapses. `chaos` installs
+  /// Map `w` as `rank`: this rank's segment as the consumer (its data
+  /// areas mirrored), every peer's as a producer. The launcher built and
+  /// initialized every segment, so nothing here waits. `chaos` installs
   /// fault injection on the receive slot (nullptr: none).
-  endpoint(const std::string& dir, int rank, int nranks,
-           const chaos_config* chaos);
+  endpoint(const world& w, int rank, const chaos_config* chaos);
   ~endpoint() override;
 
   void abort_world() override;
-
-  /// Seconds a rank will wait for the rest of the world to rendezvous.
-  static constexpr double handshake_timeout_s = 30.0;
 
  private:
   /// The one frame kind: a header followed by its payload.
@@ -257,7 +268,7 @@ class endpoint final : public transport::endpoint {
   /// pumps own inbound each pass and honours abort. Returns false on abort.
   bool wait_for_space(int dest, std::size_t need);
 
-  void handshake(const std::string& dir, const chaos_config* chaos);
+  void map_world(const world& w);
   void mark_aborted_locked();
   bool world_marked_aborted() const;
   bool all_peers_silent() const;
@@ -267,7 +278,6 @@ class endpoint final : public transport::endpoint {
     return segments_[static_cast<std::size_t>(rank_)].hdr;
   }
 
-  std::string seg_name_;  ///< own segment's shm name (for unlink)
   /// Serializes all ring-touching state between the owning rank thread and
   /// the progress engine: wait() locks once per park (with short park
   /// timeouts) so the engine's posts are never starved for long; the

@@ -8,10 +8,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -73,70 +71,86 @@ sockaddr_un make_addr(const std::string& path) {
 
 }  // namespace
 
-endpoint::endpoint(const std::string& dir, int rank, int nranks,
-                   const chaos_config* chaos, std::size_t outq_cap)
-    : transport::endpoint(backend_kind::socket, rank, nranks, own_slot_,
-                          outq_cap) {
-  YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
-            "socket endpoint rank outside world");
-  peers_.resize(static_cast<std::size_t>(nranks));
-  handshake(dir, chaos);
-  epoch_ = monotonic_seconds();
+world::world(std::string dir, int nranks)
+    : dir_(std::move(dir)),
+      nranks_(nranks),
+      listeners_(static_cast<std::size_t>(nranks), -1) {
+  YGM_CHECK(nranks > 0, "socket world needs a positive rank count");
+  if (nranks == 1) return;  // a single rank connects to nobody
+  try {
+    for (int r = 0; r < nranks; ++r) {
+      const auto addr = make_addr(sock_path(dir_, r));
+      (void)::unlink(addr.sun_path);
+      int& fd = listeners_[static_cast<std::size_t>(r)];
+      fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      YGM_CHECK(fd >= 0,
+                std::string("socket() failed: ") + std::strerror(errno));
+      YGM_CHECK(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                       sizeof(addr)) == 0,
+                std::string("bind failed on ") + addr.sun_path + ": " +
+                    std::strerror(errno));
+      YGM_CHECK(::listen(fd, nranks) == 0,
+                std::string("listen failed: ") + std::strerror(errno));
+    }
+  } catch (...) {
+    release();
+    throw;
+  }
 }
 
-void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
+world::~world() { release(); }
+
+void world::release() noexcept {
+  close_listeners();
+  for (int r = 0; r < nranks_; ++r) {
+    (void)::unlink(sock_path(dir_, r).c_str());
+  }
+}
+
+void world::close_listeners() noexcept {
+  for (int& fd : listeners_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+}
+
+endpoint::endpoint(const world& w, int rank, const chaos_config* chaos,
+                   std::size_t outq_cap)
+    : transport::endpoint(backend_kind::socket, rank, w.nranks(), own_slot_,
+                          outq_cap) {
+  YGM_CHECK(rank >= 0 && rank < nranks_, "socket endpoint rank outside world");
+  peers_.resize(static_cast<std::size_t>(nranks_));
   if (chaos != nullptr && chaos->enabled()) {
     slot_->configure_chaos(*chaos, rank_);
   }
+  handshake(w);
+  epoch_ = monotonic_seconds();
+}
+
+void endpoint::handshake(const world& w) {
   if (nranks_ == 1) return;
 
-  // Bind + listen first, so peers' connect() can succeed (into the backlog)
-  // regardless of the order ranks reach their accept loops.
-  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  YGM_CHECK(lfd >= 0, "socket() failed");
-  const auto my_addr = make_addr(sock_path(dir, rank_));
-  YGM_CHECK(::bind(lfd, reinterpret_cast<const sockaddr*>(&my_addr),
-                   sizeof(my_addr)) == 0,
-            std::string("bind failed on ") + my_addr.sun_path + ": " +
-                std::strerror(errno));
-  YGM_CHECK(::listen(lfd, nranks_) == 0, "listen failed");
-
-  const double deadline = monotonic_seconds() + handshake_timeout_s;
-
-  // Connect to every lower rank, retrying while its socket file or backlog
-  // slot is still appearing.
+  // Connect to every lower rank. Its listener has been up since before
+  // this rank was forked, so the connect lands in its backlog at once.
   for (int peer_rank = 0; peer_rank < rank_; ++peer_rank) {
-    const auto addr = make_addr(sock_path(dir, peer_rank));
-    int fd = -1;
-    for (;;) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      YGM_CHECK(fd >= 0, "socket() failed");
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) == 0) {
-        break;
-      }
-      const int err = errno;
-      ::close(fd);
-      YGM_CHECK(err == ENOENT || err == ECONNREFUSED || err == EAGAIN ||
-                    err == EINTR,
-                std::string("connect to rank ") + std::to_string(peer_rank) +
-                    " failed: " + std::strerror(err));
-      YGM_CHECK(monotonic_seconds() < deadline,
-                "socket rendezvous timed out waiting for rank " +
-                    std::to_string(peer_rank));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const auto addr = make_addr(sock_path(w.dir(), peer_rank));
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    YGM_CHECK(fd >= 0, std::string("socket() failed: ") + std::strerror(errno));
+    peers_[static_cast<std::size_t>(peer_rank)].fd = fd;
+    YGM_CHECK(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)) == 0,
+              "connect to rank " + std::to_string(peer_rank) +
+                  " failed: " + std::strerror(errno));
     wire_header hello{};
     hello.kind = static_cast<std::uint32_t>(frame_kind::hello);
     hello.src = rank_;
     write_all(fd, &hello, sizeof(hello));
-    peers_[static_cast<std::size_t>(peer_rank)].fd = fd;
   }
 
   // Accept one connection from every higher rank; the hello frame says who
   // is calling.
   for (int accepted = 0; accepted < nranks_ - 1 - rank_; ++accepted) {
-    const int fd = ::accept(lfd, nullptr, nullptr);
+    const int fd = ::accept4(w.listener(rank_), nullptr, nullptr, SOCK_CLOEXEC);
     YGM_CHECK(fd >= 0, std::string("accept failed: ") + std::strerror(errno));
     wire_header hello{};
     read_all(fd, &hello, sizeof(hello));
@@ -147,7 +161,6 @@ void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
     YGM_CHECK(p.fd < 0, "duplicate hello during socket rendezvous");
     p.fd = fd;
   }
-  ::close(lfd);
 
   for (int r = 0; r < nranks_; ++r) {
     if (r != rank_) set_nonblocking(peers_[static_cast<std::size_t>(r)].fd);
@@ -464,6 +477,9 @@ bool endpoint::pump(bool from_engine) {
 void endpoint::wait(const match_miss& miss) {
   check_launcher_alive();
   std::lock_guard lock(io_mtx_);
+  // The progress engine may have read a peer's last frames and its fin
+  // into the slot since the failed match: match again before judging.
+  if (slot_->deliveries() != miss.deliveries) return;
   YGM_CHECK(miss.delayed || !all_peers_silent(),
             std::string("socket ") + miss.op +
                 " would block forever: all peers finished and no matching "

@@ -1,12 +1,16 @@
 // Backend #2: one OS process per rank over Unix-domain stream sockets.
 //
-// Topology: full mesh. Each rank binds and listens on <dir>/r<rank>.sock,
-// connects to every lower rank (retrying while the peer's socket file is
-// still appearing), and accepts one connection from every higher rank; a
-// hello frame identifies the connecting peer. After the handshake every
-// per-peer fd goes nonblocking and all I/O runs through a single-threaded
-// poll(2) progress pump — the per-peer channel + explicit-progress structure
-// of the PGAS async-progress designs (arXiv 1609.08574).
+// Topology: full mesh. The launcher binds and listens on every rank's
+// <dir>/r<rank>.sock before its first fork (socket::world, called by
+// transport/proc/launch.cpp), so every listener exists before any rank
+// runs. A forked rank connects to every lower rank — each connect succeeds
+// on its first try, into the peer's backlog, whatever order the ranks run
+// in — accepts one connection from every higher rank on its own listener,
+// then closes every listener it inherited; a hello frame identifies the
+// connecting peer. After the handshake every per-peer fd goes nonblocking
+// and all I/O runs through a single-threaded poll(2) progress pump — the
+// per-peer channel + explicit-progress structure of the PGAS async-progress
+// designs (arXiv 1609.08574).
 //
 // Wire format: length-prefixed frames, header {kind, payload_len, src, tag,
 // ctx} followed by the payload bytes. Sends are writev-style gather I/O
@@ -50,21 +54,53 @@
 
 namespace ygm::transport::socket {
 
+/// The listening sockets of one socket world, bound by the launcher before
+/// it forks the ranks: one <dir>/r<rank>.sock per rank, listening with
+/// room in its backlog for every higher rank. The launcher removes the
+/// socket files when the world is destroyed.
+class world {
+ public:
+  /// Bind and listen on every rank's socket under `dir` (none for a
+  /// single rank), replacing a stale file of the same name.
+  world(std::string dir, int nranks);
+  ~world();
+  world(const world&) = delete;
+  world& operator=(const world&) = delete;
+
+  const std::string& dir() const noexcept { return dir_; }
+  int nranks() const noexcept { return nranks_; }
+
+  /// `rank`'s listening socket (-1 in a single-rank world).
+  int listener(int rank) const noexcept {
+    return listeners_[static_cast<std::size_t>(rank)];
+  }
+
+  /// Close every listener: the launcher after its last fork, a rank once
+  /// its endpoint has joined. A rank that dies then takes its listener
+  /// with it, so a connection left in its backlog fails instead of waiting
+  /// for an accept that never comes.
+  void close_listeners() noexcept;
+
+ private:
+  /// Close the listeners and remove the socket files.
+  void release() noexcept;
+
+  std::string dir_;
+  int nranks_;
+  std::vector<int> listeners_;
+};
+
 class endpoint final : public transport::endpoint {
  public:
-  /// Rendezvous under `dir` (every rank of the world passes the same
-  /// directory) and connect the full mesh. Blocks until all peers are up or
-  /// `handshake_timeout_s` elapses. `chaos` installs fault injection on the
-  /// receive slot (nullptr: none); `outq_cap` bounds each peer's outbound
-  /// queue (0: no cap).
-  endpoint(const std::string& dir, int rank, int nranks,
-           const chaos_config* chaos, std::size_t outq_cap);
+  /// Join `w` as `rank`: connect to every lower rank and accept every
+  /// higher one on its listener, which stays `w`'s to close. `chaos`
+  /// installs fault injection on the receive slot (nullptr: none);
+  /// `outq_cap` bounds each peer's outbound queue (0: no cap).
+  endpoint(const world& w, int rank, const chaos_config* chaos,
+           std::size_t outq_cap);
   ~endpoint() override;
 
   void abort_world() override;
-
-  /// Seconds a rank will wait for the rest of the world to rendezvous.
-  static constexpr double handshake_timeout_s = 30.0;
 
  private:
   enum class frame_kind : std::uint32_t {
@@ -117,7 +153,7 @@ class endpoint final : public transport::endpoint {
   /// Enqueue a control frame (hello/abort/fin) to one peer.
   void enqueue_control(peer_state& p, frame_kind k);
 
-  void handshake(const std::string& dir, const chaos_config* chaos);
+  void handshake(const world& w);
   void fail_peer(peer_state& p, const char* why);
 
   /// True when no peer can ever deliver another message (all fin/EOF and

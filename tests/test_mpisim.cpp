@@ -157,8 +157,18 @@ TEST(PointToPoint, ProbeDoesNotConsume) {
       const auto st = c.probe(0, 4);
       EXPECT_EQ(st.source, 0);
       EXPECT_EQ(st.tag, 4);
-      // Probe twice, then the message must still be receivable.
-      ASSERT_TRUE(c.iprobe(0, 4).has_value());
+      // Probe twice, then the message must still be receivable. Under
+      // chaos an iprobe may miss up to max_consecutive_misses times in a
+      // row, so one more try must see it; a probe that consumed the
+      // message fails here instead of hanging in the recv below.
+      const auto& chaos = ygm::detail::current_run()->chaos;
+      const std::uint32_t tries =
+          (chaos ? chaos->max_consecutive_misses : 0) + 1;
+      bool seen = false;
+      for (std::uint32_t i = 0; i < tries && !seen; ++i) {
+        seen = c.iprobe(0, 4).has_value();
+      }
+      ASSERT_TRUE(seen) << "no iprobe of " << tries << " saw the message";
       EXPECT_EQ(c.recv<int>(0, 4), 7);
       EXPECT_FALSE(c.iprobe(0, 4).has_value());
     }

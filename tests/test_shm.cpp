@@ -2,18 +2,17 @@
 // transport suite cannot isolate: the SPSC byte ring (wrap-around copies,
 // the mirrored consumer mapping, full-ring backpressure, the torn-size
 // publication guard — exercised with real producer/consumer threads so
-// TSan sees the release/acquire protocol), the rendezvous giving up on a
-// poisoned world, and the
-// launcher's handling of ranks that die without unwinding: it poisons
-// their shm peers (a SIGKILLed rank must fail the launch fast, on socket
-// too) and sweeps their orphaned segments (no /dev/shm space may leak).
+// TSan sees the release/acquire protocol), the poison of a world the
+// launcher built, and the launcher's handling of ranks that die without
+// unwinding: it poisons their shm peers (a SIGKILLed rank must fail the
+// launch fast, on socket too), and no launch, however it ends, adds an
+// entry to /dev/shm.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
+#include <dirent.h>
 #include <poll.h>
 #include <sys/mman.h>
 #include <sys/prctl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -28,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -274,105 +274,60 @@ TEST(SpscRing, ThreadedProducerConsumerStress) {
   EXPECT_EQ(r.producer.in_flight(), 0u);
 }
 
-// ----------------------------------------------------------- rendezvous
+// ------------------------------------------------------- a prebuilt world
 
-TEST(ShmHandshake, PoisonedSegmentEndsRendezvousWithAbortEcho) {
-  // A peer that failed after its own handshake poisons every segment it
-  // mapped and unlinks its own. Rank 0 here waits for a rank 1 segment that
-  // will never appear; once its own segment is poisoned it must give up
-  // with the abort echo the launcher discards, not wait out the 30 s
-  // rendezvous deadline and report a timeout.
-  char tmpl[] = "/tmp/ygm-shm-handshake-XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string own = shm::segment_name(dir, 0);
-  const auto start = std::chrono::steady_clock::now();
-
-  std::string error;
-  std::thread rank0([&] {
-    try {
-      shm::endpoint ep(dir, 0, 2, nullptr);
-    } catch (const ygm::error& e) {
-      error = e.what();
-    }
+TEST(ShmWorld, PoisonedWorldFailsItsRanksAtOnce) {
+  // The launcher poisons the world through its own header mappings when a
+  // rank dies without unwinding. A rank blocked on that peer must wake and
+  // fail with the abort echo the launcher discards, at once.
+  shm::world w(2);
+  shm::endpoint ep(w, 0, nullptr);
+  w.close_fds();
+  std::thread launcher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    w.poison();
   });
-
-  // Map rank 0's segment once its header is initialized, then poison it.
-  const std::size_t bytes = shm::segment_bytes(2);
-  int fd = -1;
-  while ((fd = ::shm_open(own.c_str(), O_RDWR, 0600)) < 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  struct stat st{};
-  while (::fstat(fd, &st) == 0 &&
-         static_cast<std::size_t>(st.st_size) < bytes) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  void* base =
-      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  EXPECT_NE(base, MAP_FAILED);
-  if (base != MAP_FAILED) {
-    auto* hdr = static_cast<shm::seg_header*>(base);
-    while (hdr->magic.load(std::memory_order_acquire) != shm::seg_magic) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    hdr->aborted.store(1, std::memory_order_release);
-  }
-  rank0.join();
-  const auto waited = std::chrono::steady_clock::now() - start;
-
-  EXPECT_NE(error.find("world aborted"), std::string::npos) << error;
-  EXPECT_LT(waited, std::chrono::seconds(5));
-  if (base != MAP_FAILED) ::munmap(base, bytes);
-  (void)::shm_unlink(own.c_str());
-  ::rmdir(dir.c_str());
-}
-
-void expect_no_segments(const std::string& dir, int nranks) {
-  for (int r = 0; r < nranks; ++r) {
-    const std::string name = shm::segment_name(dir, r);
-    errno = 0;
-    const int fd = ::shm_open(name.c_str(), O_RDONLY, 0);
-    if (fd >= 0) ::close(fd);
-    EXPECT_LT(fd, 0) << "orphaned segment survived the sweep: " << name;
-    EXPECT_EQ(errno, ENOENT) << name;
-  }
-}
-
-TEST(ShmHandshake, PoisonBeforeSegmentExistsEndsRendezvous) {
-  // Rank 1 died before creating its segment, and the launcher poisoned the
-  // world before rank 0 had created its own: there was no flag to set.
-  // Rank 0 must still give up at once with the abort echo, through the
-  // marker the poison left in the directory, not after the 30 s deadline.
-  char tmpl[] = "/tmp/ygm-shm-handshake-XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  shm::poison_world(dir, 2);
-  EXPECT_EQ(::access(shm::abort_marker(dir).c_str(), F_OK), 0);
-
   const auto start = steady_clock::now();
   std::string error;
   try {
-    shm::endpoint ep(dir, 0, 2, nullptr);
+    (void)ep.recv_match(1, 0, tp::world_context);
   } catch (const ygm::error& e) {
     error = e.what();
   }
-  const auto waited = steady_clock::now() - start;
-  EXPECT_NE(error.find("shm world aborted during rendezvous"),
-            std::string::npos)
-      << error;
-  EXPECT_LT(waited, std::chrono::seconds(5));
-
-  // The failed handshake leaves its own segment, as a rank that dies in it
-  // does; the launcher's sweep removes both, and so does this test.
-  (void)::shm_unlink(shm::segment_name(dir, 0).c_str());
-  expect_no_segments(dir, 2);
-  EXPECT_EQ(::unlink(shm::abort_marker(dir).c_str()), 0);
-  EXPECT_EQ(::rmdir(dir.c_str()), 0);
+  launcher.join();
+  EXPECT_NE(error.find("world aborted"), std::string::npos) << error;
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(5));
 }
 
-// ---------------------------------------------------- orphaned segments
+// ------------------------------------------------------ /dev/shm listings
+
+/// The names in /dev/shm now. Shm segments are unnamed, so a launch adds
+/// none, while it runs or after it ends however it ends.
+std::set<std::string> dev_shm() {
+  std::set<std::string> names;
+  if (DIR* d = ::opendir("/dev/shm")) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") names.insert(name);
+    }
+    ::closedir(d);
+  }
+  return names;
+}
+
+/// The names `now` has and `before` lacks, comma-separated.
+std::string added(const std::set<std::string>& before,
+                  const std::set<std::string>& now) {
+  std::string out;
+  for (const auto& name : now) {
+    if (before.count(name) == 0) out += (out.empty() ? "" : ", ") + name;
+  }
+  return out;
+}
+
+void expect_nothing_added(const std::set<std::string>& before) {
+  EXPECT_EQ(added(before, dev_shm()), "") << "new /dev/shm entries";
+}
 
 /// Rank 1 of a 2x2 NodeRemote world SIGKILLs itself mid-send, so it never
 /// unwinds, reports or poisons anyone; its peers soon block on it. The
@@ -409,12 +364,14 @@ void expect_killed_rank_fails_fast(tp::backend_kind backend,
 }
 
 TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
-  // Children that die before their endpoint destructor never shm_unlink
-  // their own segment; the launcher's post-reap sweep must. Use an
-  // explicit rendezvous dir so the segment names are knowable afterwards.
+  // Children that die before their endpoint destructor leave nothing in
+  // /dev/shm: their segments have no name, and the memory goes with the
+  // last process that maps it. The caller-supplied directory still
+  // reaches the ranks.
   char tmpl[] = "/tmp/ygm-shm-orphan-XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
+  const auto before = dev_shm();
 
   ygm::run_options o;
   o.nranks = 2;
@@ -423,9 +380,9 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   o.socket_dir = dir;
   try {
     ygm::launch(o, [](sim::comm& c) {
-      // Handshake is complete (the comm exists) and both segments are
-      // mapped; now die without unwinding. Both ranks exit abruptly so no
-      // survivor is left waiting out its fin deadline.
+      // Both segments are mapped (the comm exists); now die without
+      // unwinding. Both ranks exit abruptly so no survivor is left waiting
+      // out its fin deadline.
       c.barrier();
       ::_exit(2);
     });
@@ -433,16 +390,13 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   } catch (const ygm::error&) {
     // Expected: ranks terminated without reporting.
   }
-  expect_no_segments(dir, 2);
+  expect_nothing_added(before);
 
   // One rank killed while its peers run on: without the launcher's poison
   // they would park on it forever.
   expect_killed_rank_fails_fast(tp::backend_kind::shm, dir);
-  expect_no_segments(dir, 4);
-  // The poison left its marker in the caller's directory; the launcher
-  // removed it with the segments.
-  EXPECT_NE(::access(shm::abort_marker(dir).c_str(), F_OK), 0);
-  ::rmdir(dir.c_str());
+  expect_nothing_added(before);
+  (void)std::system(("rm -rf '" + dir + "'").c_str());
 }
 
 TEST(SocketCleanup, KilledRankFailsTheLaunchFast) {
@@ -452,15 +406,16 @@ TEST(SocketCleanup, KilledRankFailsTheLaunchFast) {
 
 /// Fork a launcher whose ranks block in recv, SIGKILL it once every rank
 /// is up, and require within a 10 s deadline that this process — their
-/// subreaper — reaps every rank, and that no shm segment is left: each rank
-/// notices in its bounded wait that its launcher is gone, fails, poisons
-/// its peers and unlinks its own segment.
+/// subreaper — reaps every rank, and that /dev/shm gained nothing: each
+/// rank notices in its bounded wait that its launcher is gone, fails and
+/// poisons its peers.
 void expect_killed_launcher_leaves_nothing(tp::backend_kind backend) {
   constexpr int kRanks = 3;
   ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
   char tmpl[] = "/tmp/ygm-orphan-launch-XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
+  const auto before = dev_shm();
   int ready[2];
   ASSERT_EQ(::pipe(ready), 0);
   std::fflush(nullptr);
@@ -510,15 +465,11 @@ void expect_killed_launcher_leaves_nothing(tp::backend_kind backend) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(reaped, ranks.size()) << "ranks outlived their launcher";
-  if (backend == tp::backend_kind::shm) expect_no_segments(dir, kRanks);
+  expect_nothing_added(before);
 
   // Leave nothing behind whatever happened above.
   for (const pid_t pid : ranks) ::kill(pid, SIGKILL);
   while (::waitpid(-1, &st, WNOHANG) > 0) {
-  }
-  for (int r = 0; r < kRanks; ++r) {
-    (void)::shm_unlink(shm::segment_name(dir, r).c_str());
-    (void)::unlink((dir + "/" + std::to_string(r) + ".sock").c_str());
   }
   (void)std::system(("rm -rf '" + dir + "'").c_str());
   ::prctl(PR_SET_CHILD_SUBREAPER, 0);
@@ -599,6 +550,18 @@ void launch_within_deadline(const ygm::run_options& o,
   ygm::launch(o, body);
   ::alarm(0);
   ::sigaction(SIGALRM, &before, nullptr);
+}
+
+TEST(ShmCleanup, RunningWorldAddsNothingToDevShm) {
+  // Taken inside a running rank, once every rank has mapped the world (at
+  // the barrier), the listing has no name the one before the launch lacks.
+  const auto before = dev_shm();
+  launch_within_deadline(shm_options(4), [&before](sim::comm& c) {
+    c.barrier();
+    EXPECT_EQ(added(before, dev_shm()), "") << "rank " << c.rank();
+    c.barrier();
+  });
+  expect_nothing_added(before);
 }
 
 TEST(ShmLending, CountersSplitLentFromCopiedFrames) {

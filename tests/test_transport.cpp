@@ -4,14 +4,19 @@
 // and a reduced chaos sweep on BOTH backends, cross-backend parity of a
 // seeded workload, 1 KiB fixed-width records on every backend (in packets
 // below and above 16 KiB), the mailbox's exact record-byte count on every
-// backend, frames around every boundary of the shm ring, and per-backend
-// telemetry publication.
+// backend, frames around every boundary of the shm ring, per-backend
+// telemetry publication, and the socket and shm waits matching again after
+// a delivery they missed.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -28,6 +33,7 @@
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/shm/shm_transport.hpp"
+#include "transport/socket/socket_transport.hpp"
 #include "transport/wire.hpp"
 
 namespace {
@@ -233,6 +239,106 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<tp::backend_kind>& info) {
       return std::string(tp::to_string(info.param));
     });
+
+// ------------------------ a delivery between a failed match and its wait
+//
+// A rank's blocking receive missed, and before its wait took the
+// endpoint's I/O lock, another thread holding that lock moved a peer's
+// last message and its fin into the slot. The wait must match again, not
+// report that every peer is silent. In a launch the other thread is the
+// progress engine. Here it is rank 0's post toward rank 2, which reads
+// nothing until it tears down: the stalled post keeps rank 0's I/O lock
+// and moves inbound frames into the slot as they arrive. Rank 1 sends rank
+// 0 its message and tears down; then rank 2 tears down (fin first, then
+// it drains rank 0's frames and so lets the post go on), and rank 0's
+// receive runs its wait with every peer finished.
+
+/// Rank 0's receive from rank 1: the payload size, or the error thrown.
+struct missed_delivery_run {
+  std::size_t got = 0;
+  std::string error;
+};
+
+template <typename Endpoint>
+missed_delivery_run receive_past_a_stalled_post(
+    std::vector<std::unique_ptr<Endpoint>> ep,
+    const std::function<void(Endpoint&)>& post_to_rank2) {
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  missed_delivery_run run;
+  std::thread stalled_post([&] { post_to_rank2(*ep[0]); });
+  pause();
+  std::thread receiver([&] {
+    try {
+      run.got = ep[0]->recv_match(1, 7, tp::world_context).payload.size();
+    } catch (const ygm::error& e) {
+      run.error = e.what();
+    }
+  });
+  pause();
+  std::thread rank1([&] {
+    ep[1]->post(0, tp::envelope{1, 7, tp::world_context,
+                                std::vector<std::byte>(8)});
+    ep[1].reset();  // waits for the fins of ranks 0 and 2
+  });
+  pause();
+  std::thread rank2([&] { ep[2].reset(); });
+  receiver.join();
+  stalled_post.join();
+  ep[0].reset();
+  rank1.join();
+  rank2.join();
+  return run;
+}
+
+TEST(ShmWait, MatchesAgainAfterADeliveryItMissed) {
+  tp::shm::world w(3);
+  std::vector<std::unique_ptr<tp::shm::endpoint>> ep;
+  for (int r = 0; r < 3; ++r) {
+    ep.push_back(std::make_unique<tp::shm::endpoint>(w, r, nullptr));
+  }
+  w.close_fds();
+  // More than the ring holds: the post waits for room, pumping the inbound
+  // rings at least once a millisecond.
+  const auto run = receive_past_a_stalled_post<tp::shm::endpoint>(
+      std::move(ep), [](tp::shm::endpoint& e) {
+        e.post(2, tp::envelope{0, 1, tp::world_context,
+                               std::vector<std::byte>(
+                                   tp::shm::ring_bytes + 4096)});
+      });
+  EXPECT_EQ(run.error, "");
+  EXPECT_EQ(run.got, 8u);
+}
+
+TEST(SocketWait, MatchesAgainAfterADeliveryItMissed) {
+  char tmpl[] = "/tmp/ygm-sock-wait-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  constexpr std::size_t kFrame = 64 * 1024;
+  {
+    tp::socket::world w(tmpl, 3);
+    // Higher ranks first: their connects wait in the lower ranks'
+    // backlogs, so every accept returns at once.
+    std::vector<std::unique_ptr<tp::socket::endpoint>> ep(3);
+    for (int r = 2; r >= 0; --r) {
+      ep[static_cast<std::size_t>(r)] = std::make_unique<tp::socket::endpoint>(
+          w, r, nullptr, r == 0 ? kFrame : 0);
+    }
+    w.close_listeners();
+    // Far more than the kernel buffers and the outbound cap hold: a post
+    // at the cap polls every peer's socket under the lock.
+    const auto run = receive_past_a_stalled_post<tp::socket::endpoint>(
+        std::move(ep), [](tp::socket::endpoint& e) {
+          for (int i = 0; i < 32; ++i) {
+            e.post(2, tp::envelope{0, 1, tp::world_context,
+                                   std::vector<std::byte>(kFrame)});
+          }
+        });
+    EXPECT_EQ(run.error, "");
+    EXPECT_EQ(run.got, 8u);
+  }
+  EXPECT_EQ(::rmdir(tmpl), 0) << "the world left its socket files";
+}
 
 // ------------------------------- large fixed-width records, per backend
 

@@ -165,12 +165,15 @@ def read_report(path):
 def run_report(cmd, cwd, timeout=900):
     """One call of a bench command given --bench-json=<file>: its report as
     a run result, or {"error": ...} when it exits non-zero, times out or
-    leaves no readable report."""
+    leaves no readable report. No YGM_* variable reaches the bench, as
+    ygmbench/run.py keeps them from its program, so a stray one in the
+    caller's shell cannot change a capture."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("YGM_")}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         try:
             out = subprocess.run(cmd + ["--bench-json=" + path], cwd=cwd,
-                                 capture_output=True, text=True,
+                                 env=env, capture_output=True, text=True,
                                  timeout=timeout)
         except subprocess.TimeoutExpired:
             return {"error": "timed out"}
@@ -604,6 +607,22 @@ def selftest(reports=()):
         report_x = writes % json.dumps(doc("perf_flood", {"x": 3}))
         ran = run_report([sys.executable, "-c", report_x], tmp)
         check(value(ran, "x") == 3 and not failed(ran), "a run's report read")
+        # The bench sees none of the caller's YGM_* variables.
+        counts_ygm = writes % ('{"bench": "perf_flood", "sections": [{'
+                               '"metrics": {"ygm_vars": len([k for k in '
+                               '__import__("os").environ if '
+                               'k.startswith("YGM_")])}}]}')
+        stray = os.environ.get("YGM_TRANSPORT")
+        os.environ["YGM_TRANSPORT"] = "shm"
+        try:
+            ran = run_report([sys.executable, "-c", counts_ygm], tmp)
+        finally:
+            if stray is None:
+                del os.environ["YGM_TRANSPORT"]
+            else:
+                os.environ["YGM_TRANSPORT"] = stray
+        check(value(ran, "ygm_vars") == 0,
+              "a bench call drops the caller's YGM_* variables")
         for what, code in (("exits non-zero", report_x + "; sys.exit(3)"),
                            ("writes no report", "pass"),
                            ("writes no JSON", "import sys; open(sys.argv[-1]"
